@@ -3,25 +3,25 @@
 :mod:`repro.core.plans` is the *planner*: :func:`~repro.core.plans.compile_plan`
 turns a controlled conjunctive query into an ordered sequence of
 fetch/probe steps plus a head projection.  This module is the *executor*:
-it lowers those steps into a pipeline of physical operators over a
-**columnar** batch representation (:class:`~repro.core.columnar.ColumnarBatch`:
-one Python list per variable slot, the variable-to-slot mapping compiled
-once per plan into a :class:`~repro.core.columnar.SlotTable`).  No
-per-row dict exists on the hot path: operators resolve variables to list
-indexes at lowering time, build whole key columns with one ``zip``, and
-expand join matches as a ``take`` list of source indices plus fresh
-columns for newly bound variables.  Constants are interned at lowering
-time (:mod:`repro.relational.interning`) so every lookup key hashes once
-and compares by identity first.
+it lowers those steps into operator specs and compiles each spec into
+closures over a **columnar** batch -- a list with one Python list per
+variable slot, the variable-to-slot mapping fixed once per plan in a
+:class:`~repro.core.columnar.SlotTable`.  No per-row dict exists on any
+path: a compiled step builds its whole key column with one ``zip``,
+expands join matches as a ``take`` list of source indices plus fresh
+columns for newly bound variables, and gathers only the columns a later
+operator still reads.  Constants are interned at lowering time
+(:mod:`repro.relational.interning`) so every lookup key hashes once and
+compares by identity first.
 
-The operators:
+The operator specs (data only -- atom, key/check/bind/dedup positions,
+rule and live-column set):
 
-* :class:`FilterOp` -- enforce the compile-time equality constraints that
-  involve plan parameters (a parameter equated to a constant or to another
-  parameter) and propagate parameter values onto their equality-class
-  representatives.  Only appears when the query's equalities demand it,
-  and is fused into the seed on the hot path (:func:`execute_plan`
-  evaluates it on the parameter dict before the first batch exists).
+* :class:`FilterOp` -- the compile-time equality constraints that involve
+  plan parameters (a parameter equated to a constant or to another
+  parameter) and the copies of parameter values onto their equality-class
+  representatives.  Every entry point evaluates it on the length-1 seed
+  assignment (:meth:`FilterOp.check_seed`) before the first batch exists.
 * :class:`FetchOp` -- one :meth:`lookup_keys` for the whole batch, keyed on
   the positions that are statically known to be bound at this point of the
   pipeline, then join each group of rows back to its source row
@@ -33,22 +33,41 @@ The operators:
 * :class:`ProjectDedupOp` -- project the surviving rows onto the head
   terms and deduplicate, preserving first-derivation order.
 
-Two lowering-time optimizations ride on the columnar form (both are
-profile-driven: ``profile_plan`` / ``explain_analyze`` record per-operator
-wall time, and the pre-columnar profiles showed the terminal
-fetch-then-project pair dominated by row materialization):
+:class:`ViewScanOp` / :class:`ViewProbeOp` are the same specs reading a
+materialized view (:mod:`repro.views`) instead of the database.
 
-* **dead-column elimination** -- a backward liveness pass assigns every
-  operator the ``keep`` set of variables some later operator still reads;
-  gathers skip dead columns entirely.
-* **terminal fusion** -- a pipeline ending in fetch-then-project lowers to
-  one :class:`_FusedFetchProject` on the hot path: head rows are emitted
-  straight from the fetch's row groups, so the final batch is never
-  materialized.  The unfused operator sequence is what :func:`pipeline_for`
-  returns (tests, profiles and the delta driver see individual operators);
-  the fused sequence lives on the :class:`Pipeline`'s ``fused`` attribute
-  and is what :func:`execute_plan` runs.
+One set of ``_compile_*`` functions turns the specs into every face the
+executor runs:
 
+* the **hot face** (:func:`build_pipeline`) -- live reads, unsigned.  A
+  trailing fetch-then-project pair compiles to one fused terminal that
+  emits head rows straight from the fetched row groups, so the final
+  batch is never materialized.  :func:`execute_plan` runs it, and
+  :func:`profile_plan` times the very same closures.
+* the **old face** -- reads of the pre-delta snapshot
+  (:meth:`ExecutionContext.lookup_keys_old` /
+  :meth:`~ExecutionContext.contains_rows_old`), with one extra *sign*
+  column that every gather carries along.
+* the **delta face** -- the join against the in-memory change slice
+  (:meth:`ExecutionContext.lookup_keys_delta`): slice rows carry their
+  sign as a trailing position, which the join binds into the sign column.
+  Accesses zero stored tuples.
+
+The signed faces are compiled lazily, on a plan's first counting or
+refresh (:meth:`Pipeline.signed_faces`).  :func:`execute_plan_delta`
+composes them into the standard delta rule: for each operator level ``i``
+with changes, levels ``< i`` run on the new state (hot face), level ``i``
+joins the change slice, levels ``> i`` run on the old state -- so each
+affected derivation is produced (with its sign) exactly once, one bulk
+database call per level, and the tuples accessed stay within
+:func:`delta_fanout_bound`, a function of the slice size and the
+access-rule bounds only.  :func:`execute_plan_counting` is the matching
+initial pass -- the old face over an all-``+1`` seed, accumulated into
+per-answer derivation multiplicities, the state that makes signed deltas
+composable under deletion.
+
+A backward liveness pass gives every operator the ``keep`` set of
+variables some later operator still reads; gathers skip dead columns.
 Because the bulk access methods resolve each *distinct* key once per
 batch, batched execution touches at most -- and on skewed workloads far
 fewer than -- the tuples the per-assignment reference path touches; both
@@ -66,26 +85,6 @@ contaminate each other's deltas), a change-log watermark and, for
 refreshes, the net change slice past it.  All entry points accept either
 a raw :class:`~repro.relational.instance.Database` (a fresh context is
 opened) or an existing context.
-
-On top of the standard path, every data operator has a *delta* face for
-incremental scale independence (:mod:`repro.incremental`, Section 5),
-vectorized over :class:`~repro.core.columnar.SignedColumnarBatch` (a
-batch plus per-row derivation signs):
-
-* ``run_delta`` joins a batch against the in-memory change slice of the
-  operator's relation instead of the stored data (zero tuples accessed);
-* ``run_old`` evaluates against the pre-delta snapshot -- live lookups,
-  corrected in memory by the slice.
-
-:func:`execute_plan_delta` composes them into the standard delta rule:
-for each operator level ``i`` with changes, levels ``< i`` run on the new
-state, level ``i`` joins the change slice, levels ``> i`` run on the old
-state -- so each affected derivation is produced (with its sign) exactly
-once, one bulk database call per level, and the tuples accessed stay
-within :func:`delta_fanout_bound`, a function of the slice size and the
-access-rule bounds only.  :func:`execute_plan_counting` is the matching
-initial pass: it returns per-answer derivation multiplicities, the state
-that makes signed deltas composable under deletion.
 """
 
 from __future__ import annotations
@@ -93,15 +92,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from sys import intern as _intern
 from time import perf_counter
-from typing import Iterator, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
 
 from repro.core.access_schema import AccessRule, EmbeddedAccessRule
 from repro.core.columnar import (
     EMPTY_KEY,
-    ColumnarBatch,
     PipelineCache,
     PipelineCacheStats,
-    SignedColumnarBatch,
     SlotTable,
 )
 from repro.core.plans import FetchStep, Plan, ProbeStep
@@ -109,34 +106,11 @@ from repro.errors import IncrementalError, SchemaError
 from repro.logic.ast import Atom, _as_variable
 from repro.logic.evaluation import _bound_pattern, _extend, row_matches
 from repro.logic.terms import Constant, Term, Variable
-from repro.relational.instance import AccessStats, NetDelta, _plain
+from repro.relational.instance import AccessStats, NetDelta
 from repro.relational.interning import intern_value
 
 Row = tuple[object, ...]
 Assignment = dict[Variable, object]
-
-
-def _rewind_groups(
-    groups: Sequence[tuple[Row, ...]],
-    patterns: Sequence[Mapping[int, object]],
-    net: Mapping[Row, int],
-) -> tuple[tuple[Row, ...], ...]:
-    """Correct current-state lookup ``groups`` back to the pre-delta
-    snapshot: rows inserted since the watermark are dropped, rows deleted
-    since it (and matching the pattern) are restored."""
-    if not net:
-        return tuple(groups)
-    deleted = [row for row, sign in net.items() if sign < 0]
-    adjusted: list[tuple[Row, ...]] = []
-    for pattern, rows in zip(patterns, groups):
-        rows = tuple(row for row in rows if net.get(row, 0) <= 0)
-        restored = tuple(
-            row
-            for row in deleted
-            if all(row[p] == _plain(v) for p, v in pattern.items())
-        )
-        adjusted.append(rows + restored)
-    return tuple(adjusted)
 
 
 def _rewind_key_groups(
@@ -145,8 +119,10 @@ def _rewind_key_groups(
     keys: Sequence[Row],
     net: Mapping[Row, int],
 ) -> Sequence[tuple[Row, ...]]:
-    """:func:`_rewind_groups` for the columnar key form: one shared
-    ``positions`` tuple, one key per group."""
+    """Correct current-state lookup ``groups`` (one per key over the
+    shared ``positions``) back to the pre-delta snapshot: rows inserted
+    since the watermark are dropped, rows deleted since it (and matching
+    the key) are restored."""
     if not net:
         return groups
     deleted = [row for row, sign in net.items() if sign < 0]
@@ -202,12 +178,19 @@ class ExecutionContext:
 
     ``views`` maps materialized-view names to their states
     (:class:`repro.views.ViewState` or anything with the same
-    ``lookup``/``lookup_keys``/``contains_rows`` surface): view-assisted
-    plans (:mod:`repro.views`) read views through the ``view_*`` methods
-    below, charged to this execution's :attr:`stats` only -- the database
-    cumulative counters see base-table traffic exclusively.  For delta
-    executions, view answer changes ride in :attr:`delta` under the view
-    name, exactly like a base relation's slice.
+    ``lookup``/``lookup_keys``/``contains``/``contains_rows`` surface):
+    view-assisted plans (:mod:`repro.views`) read views through the
+    ``view_*`` methods below, charged to this execution's :attr:`stats`
+    only -- the database cumulative counters see base-table traffic
+    exclusively.  For delta executions, view answer changes ride in
+    :attr:`delta` under the view name, exactly like a base relation's
+    slice.
+
+    The keyed reads (``lookup_keys``, ``contains_rows``, their ``_old``
+    and ``view_`` variants, and ``lookup_keys_delta``) all take
+    ``(relation, ...)`` after the context, so the compiled operators call
+    them as plain functions of the context; ``lookup``/``contains`` and
+    their ``view_`` variants serve the per-tuple reference executor.
     """
 
     __slots__ = (
@@ -241,9 +224,7 @@ class ExecutionContext:
         # standard execute path never touches the slice.
         if caches is None:
             self._delta_rows: dict[str, tuple[tuple[Row, int], ...]] | None = None
-            self._delta_index: (
-                dict[tuple, dict[Row, list[tuple[Row, int]]]] | None
-            ) = None
+            self._delta_index: dict[tuple, dict[Row, list[Row]]] | None = None
         else:
             self._delta_rows = caches[0]
             self._delta_index = caches[1]
@@ -270,38 +251,25 @@ class ExecutionContext:
     def lookup(self, relation: str, pattern: Mapping[int, object]) -> tuple[Row, ...]:
         return self.db.lookup(relation, pattern, self.stats)
 
-    def lookup_many(
-        self, relation: str, patterns: Sequence[Mapping[int, object]]
-    ) -> tuple[tuple[Row, ...], ...]:
-        return self.db.lookup_many(relation, patterns, self.stats)
-
     def lookup_keys(
         self, relation: str, positions: tuple[int, ...], keys: Sequence[Row]
     ) -> Sequence[tuple[Row, ...]]:
         """Bulk lookup in the columnar executor's native form: every key
         constrains the same (sorted) ``positions``, so the index is
         resolved once for the batch; distinct keys are fetched -- and
-        accounted -- once, exactly like :meth:`lookup_many`."""
+        accounted -- once."""
         return self.db.lookup_keys(relation, positions, keys, self.stats)
 
     def contains(self, relation: str, row: Sequence[object]) -> bool:
         return self.db.contains(relation, row, self.stats)
-
-    def contains_many(
-        self, relation: str, rows: Sequence[Sequence[object]]
-    ) -> tuple[bool, ...]:
-        return self.db.contains_many(relation, rows, self.stats)
 
     def contains_rows(
         self, relation: str, rows: Sequence[Row]
     ) -> tuple[bool, ...]:
         """Bulk membership for pre-shaped row tuples (the columnar probe
         builds them straight from batch columns); distinct rows are probed
-        -- and accounted -- once, exactly like :meth:`contains_many`."""
+        -- and accounted -- once."""
         return self.db.contains_rows(relation, rows, self.stats)
-
-    def scan(self, relation: str) -> tuple[Row, ...]:
-        return self.db.scan(relation, self.stats)
 
     # -- the change slice ------------------------------------------------
 
@@ -322,11 +290,12 @@ class ExecutionContext:
 
     def delta_index(
         self, relation: str, positions: tuple[int, ...]
-    ) -> dict[Row, list[tuple[Row, int]]]:
+    ) -> dict[Row, list[Row]]:
         """The slice of ``relation`` hash-indexed on ``positions`` -- the
         in-memory twin of the database's per-position indexes, so a delta
         join costs O(batch + slice) instead of their product (memoized per
-        (relation, positions))."""
+        (relation, positions)).  Each indexed row carries its sign as one
+        trailing position: ``row + (sign,)``."""
         key = (relation, positions)
         cache = self._delta_index
         if cache is None:
@@ -336,47 +305,39 @@ class ExecutionContext:
             index = {}
             for row, sign in self.delta_rows(relation):
                 index.setdefault(tuple(row[p] for p in positions), []).append(
-                    (row, sign)
+                    (*row, sign)
                 )
-            self._delta_index[key] = index
+            cache[key] = index
         return index
 
-    # -- pre-delta snapshot reads ----------------------------------------
+    def lookup_keys_delta(
+        self, relation: str, positions: tuple[int, ...], keys: Sequence[Row]
+    ) -> list[list[Row]]:
+        """:meth:`lookup_keys` against the change slice instead of the
+        stored data: per key, the slice rows matching it in the signed
+        form of :meth:`delta_index`.  The slice lives in memory, so
+        nothing is accessed or charged."""
+        get = self.delta_index(relation, positions).get
+        return [get(key, ()) for key in keys]
 
-    def lookup_many_old(
-        self, relation: str, patterns: Sequence[Mapping[int, object]]
-    ) -> tuple[tuple[Row, ...], ...]:
-        """Bulk lookup against the *pre-delta* snapshot: the live index
-        answers (accounted as usual), corrected in memory by the change
-        slice -- tuples inserted since the watermark are dropped, tuples
-        deleted since it are restored."""
-        groups = self.db.lookup_many(relation, patterns, self.stats)
-        return _rewind_groups(groups, patterns, self.delta_net(relation))
+    # -- pre-delta snapshot reads ----------------------------------------
 
     def lookup_keys_old(
         self, relation: str, positions: tuple[int, ...], keys: Sequence[Row]
     ) -> Sequence[tuple[Row, ...]]:
-        """:meth:`lookup_keys` against the pre-delta snapshot (live index
-        answers corrected in memory by the change slice)."""
+        """:meth:`lookup_keys` against the pre-delta snapshot: the live
+        index answers (accounted as usual), corrected in memory by the
+        change slice -- tuples inserted since the watermark are dropped,
+        tuples deleted since it are restored."""
         groups = self.db.lookup_keys(relation, positions, keys, self.stats)
         return _rewind_key_groups(groups, positions, keys, self.delta_net(relation))
-
-    def contains_many_old(
-        self, relation: str, rows: Sequence[Row]
-    ) -> tuple[bool, ...]:
-        """Bulk membership against the pre-delta snapshot: rows the slice
-        says nothing about are probed live; the rest are answered from the
-        slice without touching the database."""
-        return _rewind_membership(
-            rows,
-            self.delta_net(relation),
-            lambda unknown: self.db.contains_many(relation, unknown, self.stats),
-        )
 
     def contains_rows_old(
         self, relation: str, rows: Sequence[Row]
     ) -> tuple[bool, ...]:
-        """:meth:`contains_rows` against the pre-delta snapshot."""
+        """:meth:`contains_rows` against the pre-delta snapshot: rows the
+        slice says nothing about are probed live; the rest are answered
+        from the slice without touching the database."""
         return _rewind_membership(
             rows,
             self.delta_net(relation),
@@ -407,11 +368,6 @@ class ExecutionContext:
         cumulative counters are untouched)."""
         return self._view(name).lookup(pattern, self.stats)
 
-    def view_lookup_many(
-        self, name: str, patterns: Sequence[Mapping[int, object]]
-    ) -> tuple[tuple[Row, ...], ...]:
-        return self._view(name).lookup_many(patterns, self.stats)
-
     def view_lookup_keys(
         self, name: str, positions: tuple[int, ...], keys: Sequence[Row]
     ) -> Sequence[tuple[Row, ...]]:
@@ -420,38 +376,18 @@ class ExecutionContext:
     def view_contains(self, name: str, row: Sequence[object]) -> bool:
         return self._view(name).contains(row, self.stats)
 
-    def view_contains_many(
-        self, name: str, rows: Sequence[Sequence[object]]
-    ) -> tuple[bool, ...]:
-        return self._view(name).contains_many(rows, self.stats)
-
     def view_contains_rows(
         self, name: str, rows: Sequence[Row]
     ) -> tuple[bool, ...]:
         return self._view(name).contains_rows(rows, self.stats)
 
-    def view_lookup_many_old(
-        self, name: str, patterns: Sequence[Mapping[int, object]]
-    ) -> tuple[tuple[Row, ...], ...]:
-        """Bulk view lookup against the pre-delta snapshot: the current
-        view store, corrected in memory by the view's answer slice."""
-        groups = self._view(name).lookup_many(patterns, self.stats)
-        return _rewind_groups(groups, patterns, self.delta_net(name))
-
     def view_lookup_keys_old(
         self, name: str, positions: tuple[int, ...], keys: Sequence[Row]
     ) -> Sequence[tuple[Row, ...]]:
+        """Bulk view lookup against the pre-delta snapshot: the current
+        view store, corrected in memory by the view's answer slice."""
         groups = self._view(name).lookup_keys(positions, keys, self.stats)
         return _rewind_key_groups(groups, positions, keys, self.delta_net(name))
-
-    def view_contains_many_old(
-        self, name: str, rows: Sequence[Row]
-    ) -> tuple[bool, ...]:
-        return _rewind_membership(
-            rows,
-            self.delta_net(name),
-            lambda unknown: self._view(name).contains_many(unknown, self.stats),
-        )
 
     def view_contains_rows_old(
         self, name: str, rows: Sequence[Row]
@@ -480,41 +416,15 @@ def _resolve(term: Term) -> tuple[bool, object]:
     return (False, term)
 
 
-def _gather(batch: ColumnarBatch, rows: list[int], keep) -> ColumnarBatch:
-    """``batch.select(rows)`` with dead-column elimination: columns whose
-    variable is outside ``keep`` (when given) are dropped instead of
-    gathered -- no later operator reads them."""
-    columns: list[list | None] = []
-    for v, col in zip(batch.slots.variables, batch.columns):
-        if col is None or (keep is not None and v not in keep):
-            columns.append(None)
-        else:
-            columns.append([col[r] for r in rows])
-    return ColumnarBatch(batch.slots, columns, len(rows))
-
-
-def _drop_dead(batch: ColumnarBatch, keep) -> ColumnarBatch:
-    """``batch`` with dead columns dropped (no row copies)."""
-    if keep is None:
-        return batch
-    columns = [
-        col if col is None or v in keep else None
-        for v, col in zip(batch.slots.variables, batch.columns)
-    ]
-    return ColumnarBatch(batch.slots, columns, batch.length)
-
-
 @dataclass(frozen=True)
 class FilterOp:
-    """Filter a batch on compile-time-known equality ``conditions`` (pairs
-    of terms whose values must agree) and copy parameter values onto their
+    """Filter on compile-time-known equality ``conditions`` (pairs of terms
+    whose values must agree) and copy parameter values onto their
     equality-class representatives (``binds``: source -> target variable).
 
-    On the hot path this operator is fused away: :func:`execute_plan`
-    evaluates the conditions and binds directly on the length-1 seed
-    assignment before the first batch is built (see
-    :attr:`Pipeline.prefilter`).  The columnar :meth:`run` face remains
-    for the unfused paths (profiles, counting, the delta driver).
+    Every entry point evaluates it on the length-1 seed assignment with
+    :meth:`check_seed` before the first batch is built (see
+    :attr:`Pipeline.prefilter`).
     """
 
     conditions: tuple[tuple[Term, Term], ...] = ()
@@ -534,8 +444,7 @@ class FilterOp:
 
     def check_seed(self, seed: Assignment) -> bool:
         """Evaluate the conditions on a seed assignment and apply the
-        binds in place -- the fused form of :meth:`run` for the length-1
-        entry batch."""
+        binds in place; ``False`` when a condition fails."""
         for (a_const, a_ref), (b_const, b_ref) in self._cond_items:
             a = a_ref if a_const else seed[a_ref]
             b = b_ref if b_const else seed[b_ref]
@@ -544,34 +453,6 @@ class FilterOp:
         for source, target in self.binds:
             seed[target] = seed[source]
         return True
-
-    def run(self, ctx: ExecutionContext, batch: ColumnarBatch) -> ColumnarBatch:
-        n = batch.length
-        if not n:
-            return batch
-        sel: list[int] | None = None
-        for (a_const, a_ref), (b_const, b_ref) in self._cond_items:
-            sa = [a_ref] * n if a_const else batch.column(a_ref)
-            sb = [b_ref] * n if b_const else batch.column(b_ref)
-            if sel is None:
-                sel = [i for i in range(n) if sa[i] == sb[i]]
-            else:
-                sel = [i for i in sel if sa[i] == sb[i]]
-        if sel is not None and len(sel) != n:
-            batch = batch.select(sel)
-        if self.binds and batch.length:
-            slots = batch.slots
-            columns = list(batch.columns)
-            for source, target in self.binds:
-                col = batch.column(source)
-                idx = slots.index.get(target)
-                if idx is None:
-                    slots = slots.extend([target])
-                    columns.append(col)
-                else:
-                    columns[idx] = col
-            batch = ColumnarBatch(slots, columns, batch.length)
-        return batch
 
 
 @dataclass(frozen=True)
@@ -604,13 +485,17 @@ class FetchOp:
     rule: AccessRule | None = None
     keep: frozenset[Variable] | None = None
 
+    # The reads of the hot and old faces, as functions of the context
+    # (ViewScanOp reads a view store instead).
+    _read = staticmethod(ExecutionContext.lookup_keys)
+    _read_old = staticmethod(ExecutionContext.lookup_keys_old)
+
     def __post_init__(self):
-        # Pre-resolve every term access so the per-row loops below touch
-        # no Atom/Term machinery (frozen dataclass: set via object).
+        # Pre-resolve every term access so compilation touches no
+        # Atom/Term machinery (frozen dataclass: set via object).
         terms = self.atom.terms
         # The lookup key in sorted-position order (the form the database
-        # indexes on) and in declared order (the form the in-memory delta
-        # index of run_delta is keyed on, shared across executors).
+        # indexes on).
         object.__setattr__(
             self,
             "_sorted_positions",
@@ -620,11 +505,6 @@ class FetchOp:
             self,
             "_sorted_key",
             tuple(_resolve(terms[p]) for p in self._sorted_positions),
-        )
-        object.__setattr__(
-            self,
-            "_key_items",
-            tuple(_resolve(terms[p]) for p in self.key_positions),
         )
         check_items = [
             (p, *_resolve(terms[p])) for p in self.check_positions
@@ -652,262 +532,6 @@ class FetchOp:
             f" binding {binds}" if binds else ""
         )
 
-    # The lookup source, overridden by ViewScanOp to read a view store
-    # instead of the database; every other line of run/run_old/run_delta
-    # is shared.
-
-    def _lookup_keys(self, ctx: ExecutionContext, positions, keys):
-        return ctx.lookup_keys(self.atom.relation, positions, keys)
-
-    def _lookup_keys_old(self, ctx: ExecutionContext, positions, keys):
-        return ctx.lookup_keys_old(self.atom.relation, positions, keys)
-
-    def _keys(self, batch: ColumnarBatch) -> list[Row]:
-        """The batch's lookup-key column (sorted-position order)."""
-        n = batch.length
-        skey = self._sorted_key
-        if not skey:
-            return [EMPTY_KEY] * n
-        if len(skey) == 1:
-            is_const, ref = skey[0]
-            if is_const:
-                return [(ref,)] * n
-            return [(v,) for v in batch.column(ref)]
-        seqs = [
-            [ref] * n if is_const else batch.column(ref) for is_const, ref in skey
-        ]
-        return list(zip(*seqs))
-
-    def _resolve_checks(self, batch: ColumnarBatch) -> list[tuple]:
-        """``check_positions`` resolved against this batch: ``(position,
-        column-or-None, constant)`` triples."""
-        return [
-            (p, None, ref) if is_const else (p, batch.column(ref), None)
-            for p, is_const, ref in self._check_items
-        ]
-
-    def _resolve_binds(self, batch: ColumnarBatch, *, stores: bool) -> list[tuple]:
-        """``bind_positions`` resolved against this batch: ``(store,
-        positions, prebound-column, variable)`` per distinct variable.
-        ``store`` is the fresh output column to fill (``None`` when the
-        variable is already bound -- consistency check only -- or dead)."""
-        keep = self.keep
-        specs = []
-        for term, ps in self._bind_groups:
-            col = batch.column_or_none(term)
-            store = (
-                []
-                if stores and col is None and (keep is None or term in keep)
-                else None
-            )
-            specs.append((store, ps, col, term))
-        return specs
-
-    def _walk(
-        self,
-        groups,
-        check_specs,
-        bind_specs,
-        take: list[int],
-        signs_in=None,
-        signs_out=None,
-        signed_rows: bool = False,
-        dedup: tuple[int, ...] | None = None,
-    ) -> None:
-        """The general expansion loop shared by every face: per source row
-        ``i`` and fetched row, apply residual checks, per-source dedup and
-        bind-consistency, then record the match (source index into
-        ``take``, signed multiplicity into ``signs_out``, fresh bind
-        values into the bind stores)."""
-        append = take.append
-        row_sign = 1
-        for i, rows in enumerate(groups):
-            if not rows:
-                continue
-            seen: set[Row] | None = set() if dedup is not None else None
-            for entry in rows:
-                if signed_rows:
-                    row, row_sign = entry
-                else:
-                    row = entry
-                ok = True
-                for p, col, const in check_specs:
-                    if (const if col is None else col[i]) != row[p]:
-                        ok = False
-                        break
-                if not ok:
-                    continue
-                if seen is not None:
-                    projection = tuple(row[p] for p in dedup)
-                    if projection in seen:
-                        continue
-                    seen.add(projection)
-                pending = None
-                for store, ps, col, _ in bind_specs:
-                    if col is None:
-                        v = row[ps[0]]
-                        rest = ps[1:]
-                    else:
-                        v = col[i]
-                        rest = ps
-                    for q in rest:
-                        if row[q] != v:
-                            ok = False
-                            break
-                    if not ok:
-                        break
-                    if store is not None:
-                        if pending is None:
-                            pending = []
-                        pending.append((store, v))
-                if not ok:
-                    continue
-                append(i)
-                if signs_out is not None:
-                    signs_out.append(
-                        signs_in[i] * row_sign if signed_rows else signs_in[i]
-                    )
-                if pending is not None:
-                    for store, v in pending:
-                        store.append(v)
-
-    def _finish(
-        self, batch: ColumnarBatch, take: list[int], bind_specs
-    ) -> ColumnarBatch:
-        """Assemble the output batch: gather the surviving (live) input
-        columns at ``take`` and install the freshly bound columns."""
-        out = _gather(batch, take, self.keep)
-        fresh = [(term, store) for store, _, _, term in bind_specs if store is not None]
-        if not fresh:
-            return out
-        slots = out.slots
-        columns = out.columns
-        missing = [term for term, _ in fresh if term not in slots.index]
-        if missing:
-            slots = slots.extend(missing)
-            columns = columns + [None] * (len(slots) - len(columns))
-        for term, store in fresh:
-            columns[slots.index[term]] = store
-        return ColumnarBatch(slots, columns, out.length)
-
-    def run(self, ctx: ExecutionContext, batch: ColumnarBatch) -> ColumnarBatch:
-        if not batch.length:
-            return _drop_dead(batch, self.keep)
-        groups = self._lookup_keys(ctx, self._sorted_positions, self._keys(batch))
-        check_specs = self._resolve_checks(batch)
-        bind_specs = self._resolve_binds(batch, stores=True)
-        take: list[int] = []
-        if (
-            not check_specs
-            and self.dedup_positions is None
-            and all(col is None and len(ps) == 1 for _, ps, col, _ in bind_specs)
-        ):
-            # Fast path (every planner-emitted plain fetch): no residual
-            # checks, no per-source dedup, each bind variable fresh at a
-            # single position -- the join is a pure expansion.
-            append = take.append
-            stores = [
-                (store, ps[0]) for store, ps, _, _ in bind_specs if store is not None
-            ]
-            if len(stores) == 1:
-                (store, p0) = stores[0]
-                push = store.append
-                for i, rows in enumerate(groups):
-                    for row in rows:
-                        append(i)
-                        push(row[p0])
-            elif not stores:
-                for i, rows in enumerate(groups):
-                    for row in rows:
-                        append(i)
-            else:
-                for i, rows in enumerate(groups):
-                    for row in rows:
-                        append(i)
-                        for store, p0 in stores:
-                            store.append(row[p0])
-        else:
-            self._walk(
-                groups,
-                check_specs,
-                bind_specs,
-                take,
-                dedup=self.dedup_positions,
-            )
-        return self._finish(batch, take, bind_specs)
-
-    def _check_delta_supported(self) -> None:
-        # An embedded-rule fetch deduplicates output projections *per
-        # source row*, so its derivation count is not a product of
-        # per-level multiplicities and signed deltas cannot be exact.
-        if self.dedup_positions is not None:
-            rule = f" '{self.rule}'" if self.rule is not None else ""
-            raise IncrementalError(
-                f"delta execution does not support embedded-rule fetches: "
-                f"relation {self.atom.relation!r} is fetched through embedded "
-                f"access rule{rule} ({self}); declare a plain rule on "
-                f"{self.atom.relation!r} to refresh this query incrementally"
-            )
-
-    def run_delta(
-        self, ctx: ExecutionContext, batch: SignedColumnarBatch
-    ) -> SignedColumnarBatch:
-        """Join a signed batch against the net change slice of ``atom``'s
-        relation -- the delta face of :meth:`run`.  The slice lives in
-        memory, so this accesses zero stored tuples."""
-        self._check_delta_supported()
-        source = batch.batch
-        n = source.length
-        if not n or not ctx.delta_net(self.atom.relation):
-            return SignedColumnarBatch.empty(source.slots)
-        if self.key_positions:
-            index = ctx.delta_index(self.atom.relation, self.key_positions)
-            key_items = self._key_items
-            if len(key_items) == 1:
-                is_const, ref = key_items[0]
-                keys = (
-                    [(ref,)] * n if is_const else [(v,) for v in source.column(ref)]
-                )
-            else:
-                seqs = [
-                    [ref] * n if is_const else source.column(ref)
-                    for is_const, ref in key_items
-                ]
-                keys = list(zip(*seqs))
-            get = index.get
-            groups = [get(key, ()) for key in keys]
-        else:
-            # A keyless fetch (full-relation rule): every slice row joins
-            # with every source row.
-            groups = [ctx.delta_rows(self.atom.relation)] * n
-        bind_specs = self._resolve_binds(source, stores=True)
-        take: list[int] = []
-        signs_out: list[int] = []
-        self._walk(
-            groups, (), bind_specs, take, batch.signs, signs_out, signed_rows=True
-        )
-        return SignedColumnarBatch(self._finish(source, take, bind_specs), signs_out)
-
-    def run_old(
-        self, ctx: ExecutionContext, batch: SignedColumnarBatch
-    ) -> SignedColumnarBatch:
-        """:meth:`run` against the pre-delta snapshot, preserving signs:
-        one live :meth:`lookup_keys` (accounted as usual), corrected in
-        memory by the change slice."""
-        self._check_delta_supported()
-        source = batch.batch
-        if not source.length:
-            return SignedColumnarBatch.empty(source.slots)
-        groups = self._lookup_keys_old(
-            ctx, self._sorted_positions, self._keys(source)
-        )
-        check_specs = self._resolve_checks(source)
-        bind_specs = self._resolve_binds(source, stores=True)
-        take: list[int] = []
-        signs_out: list[int] = []
-        self._walk(groups, check_specs, bind_specs, take, batch.signs, signs_out)
-        return SignedColumnarBatch(self._finish(source, take, bind_specs), signs_out)
-
 
 @dataclass(frozen=True)
 class ProbeOp:
@@ -917,6 +541,9 @@ class ProbeOp:
 
     atom: Atom
     keep: frozenset[Variable] | None = None
+
+    _read = staticmethod(ExecutionContext.contains_rows)
+    _read_old = staticmethod(ExecutionContext.contains_rows_old)
 
     def __post_init__(self):
         object.__setattr__(
@@ -928,84 +555,19 @@ class ProbeOp:
     def __str__(self) -> str:
         return f"probe {self.atom}"
 
-    # The membership source, overridden by ViewProbeOp to probe a view
-    # store instead of the database.
-
-    def _contains_rows(self, ctx: ExecutionContext, rows):
-        return ctx.contains_rows(self.atom.relation, rows)
-
-    def _contains_rows_old(self, ctx: ExecutionContext, rows):
-        return ctx.contains_rows_old(self.atom.relation, rows)
-
-    def _rows(self, batch: ColumnarBatch) -> list[Row]:
-        """The batch's probe-row column (one pre-shaped tuple per row)."""
-        n = batch.length
-        items = self._items
-        if len(items) == 1:
-            is_const, ref = items[0]
-            if is_const:
-                return [(ref,)] * n
-            return [(v,) for v in batch.column(ref)]
-        seqs = [
-            [ref] * n if is_const else batch.column(ref) for is_const, ref in items
-        ]
-        return list(zip(*seqs))
-
-    def run(self, ctx: ExecutionContext, batch: ColumnarBatch) -> ColumnarBatch:
-        if not batch.length:
-            return _drop_dead(batch, self.keep)
-        verdicts = self._contains_rows(ctx, self._rows(batch))
-        if all(verdicts):
-            return _drop_dead(batch, self.keep)
-        sel = [i for i, present in enumerate(verdicts) if present]
-        return _gather(batch, sel, self.keep)
-
-    def run_delta(
-        self, ctx: ExecutionContext, batch: SignedColumnarBatch
-    ) -> SignedColumnarBatch:
-        """Probe the change slice instead of the database: a row survives
-        only if its fully-bound tuple effectively changed, carrying the
-        change's sign.  Accesses zero stored tuples."""
-        net = ctx.delta_net(self.atom.relation)
-        source = batch.batch
-        if not net or not source.length:
-            return SignedColumnarBatch.empty(source.slots)
-        get = net.get
-        signs = batch.signs
-        sel: list[int] = []
-        signs_out: list[int] = []
-        for i, row in enumerate(self._rows(source)):
-            row_sign = get(row, 0)
-            if row_sign:
-                sel.append(i)
-                signs_out.append(signs[i] * row_sign)
-        return SignedColumnarBatch(_gather(source, sel, self.keep), signs_out)
-
-    def run_old(
-        self, ctx: ExecutionContext, batch: SignedColumnarBatch
-    ) -> SignedColumnarBatch:
-        """:meth:`run` against the pre-delta snapshot, preserving signs."""
-        source = batch.batch
-        if not source.length:
-            return SignedColumnarBatch.empty(source.slots)
-        verdicts = self._contains_rows_old(ctx, self._rows(source))
-        signs = batch.signs
-        sel = [i for i, present in enumerate(verdicts) if present]
-        return SignedColumnarBatch(
-            _gather(source, sel, self.keep), [signs[i] for i in sel]
-        )
-
 
 @dataclass(frozen=True)
 class ViewScanOp(FetchOp):
     """A :class:`FetchOp` whose atom names a materialized view
-    (:mod:`repro.views`): only the lookup source differs -- batches are
-    answered from the execution context's view store, indexed on the key
-    positions and charged to the per-execution stats only, instead of
-    the database.  ``run``/``run_old``/``run_delta`` are inherited: a
-    view's answer changes ride in ``ctx.delta`` under the view's name,
+    (:mod:`repro.views`): only the read differs -- batches are answered
+    from the execution context's view store, indexed on the key positions
+    and charged to the per-execution stats only, instead of the database.
+    A view's answer changes ride in ``ctx.delta`` under the view's name,
     so the delta face joins them exactly like a base relation's slice,
     and the old face rewinds the current view store by that slice."""
+
+    _read = staticmethod(ExecutionContext.view_lookup_keys)
+    _read_old = staticmethod(ExecutionContext.view_lookup_keys_old)
 
     def __str__(self) -> str:
         binds = ", ".join(f"?{self.atom.terms[p]}" for p in self.bind_positions)
@@ -1013,28 +575,18 @@ class ViewScanOp(FetchOp):
             f" binding {binds}" if binds else ""
         )
 
-    def _lookup_keys(self, ctx: ExecutionContext, positions, keys):
-        return ctx.view_lookup_keys(self.atom.relation, positions, keys)
-
-    def _lookup_keys_old(self, ctx: ExecutionContext, positions, keys):
-        return ctx.view_lookup_keys_old(self.atom.relation, positions, keys)
-
 
 @dataclass(frozen=True)
 class ViewProbeOp(ProbeOp):
     """A :class:`ProbeOp` whose membership source is a materialized
-    view's store instead of the database; everything else -- including
-    the delta face, which reads the view's answer changes from
-    ``ctx.delta`` under the view's name -- is inherited."""
+    view's store instead of the database; the delta face reads the view's
+    answer changes from ``ctx.delta`` under the view's name."""
+
+    _read = staticmethod(ExecutionContext.view_contains_rows)
+    _read_old = staticmethod(ExecutionContext.view_contains_rows_old)
 
     def __str__(self) -> str:
         return f"view probe {self.atom}"
-
-    def _contains_rows(self, ctx: ExecutionContext, rows):
-        return ctx.view_contains_rows(self.atom.relation, rows)
-
-    def _contains_rows_old(self, ctx: ExecutionContext, rows):
-        return ctx.view_contains_rows_old(self.atom.relation, rows)
 
 
 @dataclass(frozen=True)
@@ -1058,197 +610,34 @@ class ProjectDedupOp:
         )
         return f"project/dedup ({head})"
 
-    def _row_iter(self, batch: ColumnarBatch):
-        """The head projection of every batch row, in order."""
-        n = batch.length
-        items = self._items
-        if len(items) == 1:
-            is_const, ref = items[0]
-            col = [ref] * n if is_const else batch.column(ref)
-            return ((v,) for v in col)
-        seqs = [
-            [ref] * n if is_const else batch.column(ref) for is_const, ref in items
-        ]
-        return zip(*seqs)
-
-    def run(self, ctx: ExecutionContext, batch: ColumnarBatch) -> list[Row]:
-        if not batch.length:
-            return []
-        if not self._items:
-            return [()]
-        return list(dict.fromkeys(self._row_iter(batch)))
-
-    def counts(self, batch: ColumnarBatch) -> dict[Row, int]:
-        """Project like :meth:`run` but return per-answer derivation
-        multiplicities (first-derivation order) instead of deduplicating --
-        the materialized state of :mod:`repro.incremental`."""
-        counts: dict[Row, int] = {}
-        if not batch.length:
-            return counts
-        if not self._items:
-            counts[EMPTY_KEY] = batch.length
-            return counts
-        get = counts.get
-        for row in self._row_iter(batch):
-            counts[row] = get(row, 0) + 1
-        return counts
-
-    def accumulate_signed(
-        self, batch: SignedColumnarBatch, into: dict[Row, int]
-    ) -> None:
-        """Fold a signed batch's head projections into ``into`` -- the
-        delta face of :meth:`counts`."""
-        source = batch.batch
-        if not source.length:
-            return
-        get = into.get
-        if not self._items:
-            into[EMPTY_KEY] = get(EMPTY_KEY, 0) + sum(batch.signs)
-            return
-        for row, sign in zip(self._row_iter(source), batch.signs):
-            into[row] = get(row, 0) + sign
-
-
-class _FusedFetchProject:
-    """The fused terminal operator: a trailing :class:`FetchOp` (or
-    :class:`ViewScanOp`) and the :class:`ProjectDedupOp` collapsed into
-    one pass that emits deduplicated head rows straight from the fetched
-    row groups -- the final batch (its gathers, fresh bind columns and
-    per-row bookkeeping) is never materialized.  Lowering applies it on
-    the :attr:`Pipeline.fused` sequence only; the unfused operators stay
-    addressable for profiles, tests and the delta driver."""
-
-    __slots__ = ("fetch", "project")
-
-    def __init__(self, fetch: FetchOp, project: ProjectDedupOp):
-        self.fetch = fetch
-        self.project = project
-
-    def __str__(self) -> str:
-        return f"fused[{self.fetch}; {self.project}]"
-
-    def run(self, ctx: ExecutionContext, batch: ColumnarBatch) -> list[Row]:
-        if not batch.length:
-            return []
-        fetch = self.fetch
-        groups = fetch._lookup_keys(ctx, fetch._sorted_positions, fetch._keys(batch))
-        check_specs = fetch._resolve_checks(batch)
-        bind_specs = fetch._resolve_binds(batch, stores=False)
-        # Lower each head term to its source: a constant, a column of the
-        # input batch, or a position of the fetched row.
-        specs: list[tuple[int, object]] = []
-        for is_const, ref in self.project._items:
-            if is_const:
-                specs.append((0, ref))
-                continue
-            col = batch.column_or_none(ref)
-            if col is not None:
-                specs.append((1, col))
-                continue
-            for term, ps in fetch._bind_groups:
-                if term == ref:
-                    specs.append((2, ps[0]))
-                    break
-            else:
-                raise KeyError(ref)
-        answers: dict[Row, None] = {}
-        setd = answers.setdefault
-        simple = (
-            not check_specs
-            and fetch.dedup_positions is None
-            and all(col is None and len(ps) == 1 for _, ps, col, _ in bind_specs)
-        )
-        if simple and len(specs) == 1:
-            kind, x = specs[0]
-            if kind == 2:
-                for rows in groups:
-                    for row in rows:
-                        setd((row[x],), None)
-            elif kind == 1:
-                # Same head value for every row of a group: record each
-                # non-empty group once.
-                for i, rows in enumerate(groups):
-                    if rows:
-                        setd((x[i],), None)
-            else:
-                for rows in groups:
-                    if rows:
-                        setd((x,), None)
-                        break
-        elif simple:
-            for i, rows in enumerate(groups):
-                for row in rows:
-                    setd(
-                        tuple(
-                            x if kind == 0 else (x[i] if kind == 1 else row[x])
-                            for kind, x in specs
-                        ),
-                        None,
-                    )
-        else:
-            dedup = fetch.dedup_positions
-            for i, rows in enumerate(groups):
-                if not rows:
-                    continue
-                seen: set[Row] | None = set() if dedup is not None else None
-                for row in rows:
-                    ok = True
-                    for p, col, const in check_specs:
-                        if (const if col is None else col[i]) != row[p]:
-                            ok = False
-                            break
-                    if not ok:
-                        continue
-                    if seen is not None:
-                        projection = tuple(row[p] for p in dedup)
-                        if projection in seen:
-                            continue
-                        seen.add(projection)
-                    for _, ps, col, _ in bind_specs:
-                        if col is None:
-                            v = row[ps[0]]
-                            rest = ps[1:]
-                        else:
-                            v = col[i]
-                            rest = ps
-                        for q in rest:
-                            if row[q] != v:
-                                ok = False
-                                break
-                        if not ok:
-                            break
-                    if not ok:
-                        continue
-                    setd(
-                        tuple(
-                            x if kind == 0 else (x[i] if kind == 1 else row[x])
-                            for kind, x in specs
-                        ),
-                        None,
-                    )
-        return list(answers)
-
 
 Operator = FilterOp | FetchOp | ProbeOp | ViewScanOp | ViewProbeOp | ProjectDedupOp
 
+#: The variable of the signed faces' sign column (+1 derivation gained,
+#: -1 lost).  ``#`` starts a comment in query text, so no parsed query
+#: variable shares its name.
+_SIGN = Variable("#sign")
 
-# -- compiled hot-path steps ---------------------------------------------
+
+# -- compiled operator faces ---------------------------------------------
 #
 # The batch schema at every pipeline position is static: which slots are
 # bound, which are live, which positions key each lookup -- all of it is
-# known at lowering time.  So the hot path does not interpret operators:
-# build_pipeline additionally compiles each fused operator into a closure
-# over integer slot indexes, and execute_plan threads a bare
-# (columns, length) pair through those closures.  No Variable is hashed
-# and no batch object is allocated per execution.  The operator classes
-# above remain the addressable form of the same pipeline (tests,
-# profiles, counting and the delta driver run them; differential tests
-# pin the compiled path to them).
+# known at lowering time.  So no face interprets operators: each spec is
+# compiled into a closure over integer slot indexes, and the entry points
+# thread a bare (columns, length) pair through those closures.  No
+# Variable is hashed and no batch object is allocated per execution.  A
+# face differs from another only in its read function (live, pre-delta
+# snapshot or change slice) and in whether the sign slot is bound.
 
 
-def _compile_row_builder(specs):
-    """A closure building the per-row key/probe tuple column from
-    ``specs`` (``(True, constant)`` / ``(False, slot)`` items)."""
+def _compile_row_builder(items, sidx: dict[Variable, int]):
+    """A closure building the per-row key/probe/head tuple column from
+    lowered ``(is_const, ref)`` items, each variable mapped to its slot
+    through ``sidx``."""
+    specs = tuple(
+        (True, ref) if is_const else (False, sidx[ref]) for is_const, ref in items
+    )
     if not specs:
         return lambda columns, n: [EMPTY_KEY] * n
     if len(specs) == 1:
@@ -1257,7 +646,6 @@ def _compile_row_builder(specs):
             key = (x,)
             return lambda columns, n: [key] * n
         return lambda columns, n: [(v,) for v in columns[x]]
-    specs = tuple(specs)
 
     def rows_fn(columns, n):
         seqs = [[x] * n if is_const else columns[x] for is_const, x in specs]
@@ -1266,19 +654,23 @@ def _compile_row_builder(specs):
     return rows_fn
 
 
-def _compile_fetch(op: FetchOp, slots: SlotTable, bound_slots: set[int]):
-    """Compile a non-terminal fetch into a ``(ctx, columns, n) ->
-    (columns, n)`` closure; returns it plus the slot set bound after."""
+def _compile_fetch(
+    op: FetchOp,
+    slots: SlotTable,
+    bound_slots: set[int],
+    read: Callable,
+    sign: int | None = None,
+):
+    """Compile a fetch into a ``(ctx, columns, n) -> (columns, n)``
+    closure reading through ``read(ctx, relation, positions, keys)``;
+    returns it plus the slot set bound after.  With ``sign`` given, the
+    fetched rows carry a trailing sign position (the change slice's
+    signed form), bound into column ``sign``."""
     variables = slots.variables
     sidx = slots.index
     nslots = len(variables)
     spos = op._sorted_positions
-    keys_fn = _compile_row_builder(
-        [
-            (True, ref) if is_const else (False, sidx[ref])
-            for is_const, ref in op._sorted_key
-        ]
-    )
+    keys_fn = _compile_row_builder(op._sorted_key, sidx)
     check_specs = tuple(
         (p, None, ref) if is_const else (p, sidx[ref], None)
         for p, is_const, ref in op._check_items
@@ -1296,10 +688,11 @@ def _compile_fetch(op: FetchOp, slots: SlotTable, bound_slots: set[int]):
             # Dead but repeated: the within-row consistency check still
             # filters, only the column is unneeded.
             fresh.append((None, ps))
+    if sign is not None:
+        fresh.append((sign, (len(op.atom.terms),)))
     gather = tuple(s for s in bound_slots if keep is None or variables[s] in keep)
     out_bound = set(gather) | {s for s, _ in fresh if s is not None}
     relation = op.atom.relation
-    from_view = isinstance(op, ViewScanOp)
     dedup = op.dedup_positions
     stores_spec = tuple((s, ps[0]) for s, ps in fresh if s is not None)
     fast = (
@@ -1313,12 +706,7 @@ def _compile_fetch(op: FetchOp, slots: SlotTable, bound_slots: set[int]):
         (s_out, p0) = stores_spec[0]
 
         def step(ctx, columns, n):
-            keys = keys_fn(columns, n)
-            groups = (
-                ctx._view(relation).lookup_keys(spos, keys, ctx.stats)
-                if from_view
-                else ctx.db.lookup_keys(relation, spos, keys, ctx.stats)
-            )
+            groups = read(ctx, relation, spos, keys_fn(columns, n))
             out = [None] * nslots
             if n == 1:
                 rows = groups[0]
@@ -1346,12 +734,17 @@ def _compile_fetch(op: FetchOp, slots: SlotTable, bound_slots: set[int]):
     if fast:
 
         def step(ctx, columns, n):
-            keys = keys_fn(columns, n)
-            groups = (
-                ctx._view(relation).lookup_keys(spos, keys, ctx.stats)
-                if from_view
-                else ctx.db.lookup_keys(relation, spos, keys, ctx.stats)
-            )
+            groups = read(ctx, relation, spos, keys_fn(columns, n))
+            out = [None] * nslots
+            if n == 1:
+                rows = groups[0]
+                k = len(rows)
+                if k:
+                    for s in gather:
+                        out[s] = columns[s] * k
+                    for s, p in stores_spec:
+                        out[s] = [row[p] for row in rows]
+                return out, k
             take = []
             t_append = take.append
             stores = [[] for _ in stores_spec]
@@ -1360,7 +753,6 @@ def _compile_fetch(op: FetchOp, slots: SlotTable, bound_slots: set[int]):
                     t_append(i)
                     for store, (_, p) in zip(stores, stores_spec):
                         store.append(row[p])
-            out = [None] * nslots
             for s in gather:
                 col = columns[s]
                 out[s] = [col[i] for i in take]
@@ -1374,12 +766,9 @@ def _compile_fetch(op: FetchOp, slots: SlotTable, bound_slots: set[int]):
     consist_t = tuple(consist)
 
     def step(ctx, columns, n):
-        keys = keys_fn(columns, n)
-        groups = (
-            ctx._view(relation).lookup_keys(spos, keys, ctx.stats)
-            if from_view
-            else ctx.db.lookup_keys(relation, spos, keys, ctx.stats)
-        )
+        # The one general walk: residual checks, per-source dedup and
+        # bind consistency, for every face.
+        groups = read(ctx, relation, spos, keys_fn(columns, n))
         checks = [
             (p, None if s is None else columns[s], const)
             for p, s, const in check_specs
@@ -1450,31 +839,22 @@ def _compile_fetch(op: FetchOp, slots: SlotTable, bound_slots: set[int]):
     return step, out_bound
 
 
-def _compile_probe(op: ProbeOp, slots: SlotTable, bound_slots: set[int]):
+def _compile_probe(
+    op: ProbeOp, slots: SlotTable, bound_slots: set[int], read: Callable
+):
     """Compile a probe into a ``(ctx, columns, n) -> (columns, n)``
-    closure; returns it plus the slot set bound after."""
+    closure asking ``read(ctx, relation, rows)`` for membership verdicts;
+    returns it plus the slot set bound after."""
     variables = slots.variables
-    sidx = slots.index
     nslots = len(variables)
-    rows_fn = _compile_row_builder(
-        [
-            (True, ref) if is_const else (False, sidx[ref])
-            for is_const, ref in op._items
-        ]
-    )
+    rows_fn = _compile_row_builder(op._items, slots.index)
     relation = op.atom.relation
-    from_view = isinstance(op, ViewProbeOp)
     keep = op.keep
     gather = tuple(s for s in bound_slots if keep is None or variables[s] in keep)
     dead = len(gather) != len(bound_slots)
 
     def step(ctx, columns, n):
-        rows = rows_fn(columns, n)
-        verdicts = (
-            ctx._view(relation).contains_rows(rows, ctx.stats)
-            if from_view
-            else ctx.db.contains_rows(relation, rows, ctx.stats)
-        )
+        verdicts = read(ctx, relation, rows_fn(columns, n))
         if all(verdicts):
             if not dead:
                 return columns, n
@@ -1492,96 +872,79 @@ def _compile_probe(op: ProbeOp, slots: SlotTable, bound_slots: set[int]):
     return step, set(gather)
 
 
-def _compile_project(op: ProjectDedupOp, slots: SlotTable, bound_slots: set[int]):
+def _compile_project(op: ProjectDedupOp, slots: SlotTable):
     """Compile the terminal projection into a ``(ctx, columns, n) ->
     list[Row]`` closure (first-derivation order preserved by the dedup
     dict)."""
-    sidx = slots.index
-    specs = [
-        (True, ref) if is_const else (False, sidx[ref])
-        for is_const, ref in op._items
-    ]
-    if not specs:
-        return lambda ctx, columns, n: [()] if n else []
-    if len(specs) == 1:
-        is_const, x = specs[0]
-        if is_const:
-            row = (x,)
-            return lambda ctx, columns, n: [row] if n else []
-
-        def terminal(ctx, columns, n):
-            if not n:
-                return []
-            return list(dict.fromkeys((v,) for v in columns[x]))
-
-        return terminal
-    specs_t = tuple(specs)
+    rows_fn = _compile_row_builder(op._items, slots.index)
 
     def terminal(ctx, columns, n):
         if not n:
             return []
-        seqs = [[x] * n if is_const else columns[x] for is_const, x in specs_t]
-        return list(dict.fromkeys(zip(*seqs)))
+        return list(dict.fromkeys(rows_fn(columns, n)))
 
     return terminal
 
 
+def _compile_accumulate(op: ProjectDedupOp, slots: SlotTable, sign: int):
+    """Compile the signed terminal: a ``(columns, n, into) -> None``
+    closure folding each row's sign into ``into[head row]`` (derivation
+    counts, first-derivation order)."""
+    rows_fn = _compile_row_builder(op._items, slots.index)
+
+    def accumulate(columns, n, into):
+        get = into.get
+        for row, s in zip(rows_fn(columns, n), columns[sign]):
+            into[row] = get(row, 0) + s
+
+    return accumulate
+
+
 def _compile_fused(
-    fused_op: "_FusedFetchProject", slots: SlotTable, bound_slots: set[int]
+    fetch: FetchOp, project: ProjectDedupOp, slots: SlotTable, bound_slots: set[int]
 ):
-    """Compile the fused fetch+project tail into a ``(ctx, columns, n) ->
+    """Compile a trailing fetch+project pair into a ``(ctx, columns, n) ->
     list[Row]`` closure emitting deduplicated head rows straight from the
-    fetched row groups."""
-    fetch = fused_op.fetch
-    project = fused_op.project
+    fetched row groups.  Fetches that need checks, dedup or consistency
+    run the general fetch step followed by the projection."""
     sidx = slots.index
+    bind_groups = dict(fetch._bind_groups)
+    if (
+        fetch._check_items
+        or fetch.dedup_positions is not None
+        or any(
+            sidx[term] in bound_slots or len(ps) > 1
+            for term, ps in bind_groups.items()
+        )
+    ):
+        step, _ = _compile_fetch(fetch, slots, bound_slots, fetch._read)
+        project_fn = _compile_project(project, slots)
+
+        def general(ctx, columns, n):
+            columns, n = step(ctx, columns, n)
+            return project_fn(ctx, columns, n)
+
+        return general
     spos = fetch._sorted_positions
-    keys_fn = _compile_row_builder(
-        [
-            (True, ref) if is_const else (False, sidx[ref])
-            for is_const, ref in fetch._sorted_key
-        ]
-    )
-    check_specs = tuple(
-        (p, None, ref) if is_const else (p, sidx[ref], None)
-        for p, is_const, ref in fetch._check_items
-    )
-    consist: list[tuple[int, tuple[int, ...]]] = []
-    fresh_pos: dict[Variable, tuple[int, ...]] = {}
-    for term, ps in fetch._bind_groups:
-        s = sidx.get(term)
-        if s is not None and s in bound_slots:
-            consist.append((s, ps))
-        else:
-            fresh_pos[term] = ps
+    keys_fn = _compile_row_builder(fetch._sorted_key, sidx)
     # Each head term lowers to a constant (0), an input column (1), or a
     # position of the fetched row (2).
     specs: list[tuple[int, object]] = []
     for is_const, ref in project._items:
         if is_const:
             specs.append((0, ref))
-            continue
-        s = sidx.get(ref)
-        if s is not None and s in bound_slots:
-            specs.append((1, s))
+        elif sidx[ref] in bound_slots:
+            specs.append((1, sidx[ref]))
         else:
-            specs.append((2, fresh_pos[ref][0]))
+            specs.append((2, bind_groups[ref][0]))
     relation = fetch.atom.relation
-    from_view = isinstance(fetch, ViewScanOp)
-    dedup = fetch.dedup_positions
-    fresh_consist = tuple(ps for ps in fresh_pos.values() if len(ps) > 1)
-    simple = not check_specs and dedup is None and not consist and not fresh_consist
-    if simple and len(specs) == 1:
+    read = fetch._read
+    if len(specs) == 1:
         kind, x = specs[0]
         if kind == 2:
 
             def terminal(ctx, columns, n):
-                keys = keys_fn(columns, n)
-                groups = (
-                    ctx._view(relation).lookup_keys(spos, keys, ctx.stats)
-                    if from_view
-                    else ctx.db.lookup_keys(relation, spos, keys, ctx.stats)
-                )
+                groups = read(ctx, relation, spos, keys_fn(columns, n))
                 answers: dict[Row, None] = {}
                 setd = answers.setdefault
                 for rows in groups:
@@ -1594,12 +957,7 @@ def _compile_fused(
             def terminal(ctx, columns, n):
                 # Same head value for every row of a group: record each
                 # non-empty group once.
-                keys = keys_fn(columns, n)
-                groups = (
-                    ctx._view(relation).lookup_keys(spos, keys, ctx.stats)
-                    if from_view
-                    else ctx.db.lookup_keys(relation, spos, keys, ctx.stats)
-                )
+                groups = read(ctx, relation, spos, keys_fn(columns, n))
                 col = columns[x]
                 answers: dict[Row, None] = {}
                 setd = answers.setdefault
@@ -1612,101 +970,27 @@ def _compile_fused(
             row0 = (x,)
 
             def terminal(ctx, columns, n):
-                keys = keys_fn(columns, n)
-                groups = (
-                    ctx._view(relation).lookup_keys(spos, keys, ctx.stats)
-                    if from_view
-                    else ctx.db.lookup_keys(relation, spos, keys, ctx.stats)
-                )
+                groups = read(ctx, relation, spos, keys_fn(columns, n))
                 for rows in groups:
                     if rows:
                         return [row0]
                 return []
 
         return terminal
-    if simple:
-        specs_t = tuple(specs)
-
-        def terminal(ctx, columns, n):
-            keys = keys_fn(columns, n)
-            groups = (
-                ctx._view(relation).lookup_keys(spos, keys, ctx.stats)
-                if from_view
-                else ctx.db.lookup_keys(relation, spos, keys, ctx.stats)
-            )
-            answers: dict[Row, None] = {}
-            setd = answers.setdefault
-            for i, rows in enumerate(groups):
-                for row in rows:
-                    setd(
-                        tuple(
-                            x
-                            if kind == 0
-                            else (columns[x][i] if kind == 1 else row[x])
-                            for kind, x in specs_t
-                        ),
-                        None,
-                    )
-            return list(answers)
-
-        return terminal
-    consist_t = tuple(consist)
-    specs_g = tuple(specs)
+    specs_t = tuple(specs)
 
     def terminal(ctx, columns, n):
-        keys = keys_fn(columns, n)
-        groups = (
-            ctx._view(relation).lookup_keys(spos, keys, ctx.stats)
-            if from_view
-            else ctx.db.lookup_keys(relation, spos, keys, ctx.stats)
-        )
-        checks = [
-            (p, None if s is None else columns[s], const)
-            for p, s, const in check_specs
-        ]
-        consist_cols = [(columns[s], ps) for s, ps in consist_t]
+        groups = read(ctx, relation, spos, keys_fn(columns, n))
         answers: dict[Row, None] = {}
         setd = answers.setdefault
         for i, rows in enumerate(groups):
-            if not rows:
-                continue
-            seen = set() if dedup is not None else None
             for row in rows:
-                ok = True
-                for p, col, const in checks:
-                    if (const if col is None else col[i]) != row[p]:
-                        ok = False
-                        break
-                if not ok:
-                    continue
-                if seen is not None:
-                    projection = tuple(row[p] for p in dedup)
-                    if projection in seen:
-                        continue
-                    seen.add(projection)
-                for col, ps in consist_cols:
-                    v = col[i]
-                    for q in ps:
-                        if row[q] != v:
-                            ok = False
-                            break
-                    if not ok:
-                        break
-                if ok:
-                    for ps in fresh_consist:
-                        v = row[ps[0]]
-                        for q in ps[1:]:
-                            if row[q] != v:
-                                ok = False
-                                break
-                        if not ok:
-                            break
-                if not ok:
-                    continue
                 setd(
                     tuple(
-                        x if kind == 0 else (columns[x][i] if kind == 1 else row[x])
-                        for kind, x in specs_g
+                        x
+                        if kind == 0
+                        else (columns[x][i] if kind == 1 else row[x])
+                        for kind, x in specs_t
                     ),
                     None,
                 )
@@ -1715,34 +999,47 @@ def _compile_fused(
     return terminal
 
 
+class SignedFaces(NamedTuple):
+    """The signed faces of one pipeline, compiled on first use by
+    :meth:`Pipeline.signed_faces`: per data level, the old-face step
+    (pre-delta reads, sign column gathered) and the delta-face step (the
+    change-slice join, binding the sign column); plus the signed terminal
+    that folds signs into per-answer derivation counts."""
+
+    width: int
+    sign: int
+    old: tuple
+    delta: tuple
+    accumulate: Callable
+
+
 class Pipeline(tuple):
-    """The lowered physical form of one plan: a tuple of the *unfused*
-    operators (what tests, profiles and the delta driver address), plus
-    the compiled execution extras as attributes --
+    """The lowered physical form of one plan: a tuple of the operator
+    specs (prefilter, data levels, projection), plus the compiled hot
+    face as attributes --
 
     * ``slots`` -- the plan's :class:`~repro.core.columnar.SlotTable`;
     * ``params`` -- the declared parameter set (fast seed validation);
-    * ``prefilter`` -- the leading :class:`FilterOp`, fused onto the seed
-      assignment by :func:`execute_plan` (``None`` when absent);
-    * ``fused`` -- the hot-path operator sequence: the unfused data
-      operators minus the prefilter, with a trailing fetch+project pair
-      collapsed into one :class:`_FusedFetchProject`;
-    * ``seed_slots`` / ``body`` / ``terminal`` -- the compiled form of the
-      fused sequence :func:`execute_plan` actually runs: the parameter
-      slot assignments, the ``(ctx, columns, n) -> (columns, n)`` step
-      closures, and the terminal ``-> list[Row]`` closure;
+    * ``prefilter`` -- the leading :class:`FilterOp`, evaluated on the
+      seed assignment (``None`` when absent);
+    * ``levels`` -- the data operators (fetches and probes), in order;
+    * ``seed_slots`` / ``body`` / ``terminal`` -- the compiled hot face
+      :func:`execute_plan` runs: the parameter slot assignments, one
+      ``(ctx, columns, n) -> (columns, n)`` step closure per level, and
+      the terminal ``-> list[Row]`` closure (a trailing fetch is fused
+      into it, leaving ``body`` one step shorter than ``levels``);
     * ``width`` -- the slot count (the length of each column list).
 
-    Comparing a ``Pipeline`` to a plain tuple compares the unfused
-    operators (tuple semantics), so an unsatisfiable plan's pipeline
-    equals ``()``.
+    The old and delta faces come from :meth:`signed_faces`.  Comparing a
+    ``Pipeline`` to a plain tuple compares the operator specs (tuple
+    semantics), so an unsatisfiable plan's pipeline equals ``()``.
     """
 
     slots: SlotTable
     params: frozenset
     width: int
     prefilter: FilterOp | None
-    fused: tuple
+    levels: tuple
     seed_slots: tuple
     body: tuple
     terminal: object
@@ -1753,7 +1050,6 @@ class Pipeline(tuple):
         slots: SlotTable | None = None,
         params: frozenset = frozenset(),
         prefilter: FilterOp | None = None,
-        fused: Sequence | None = None,
         seed_slots: Sequence = (),
         body: Sequence = (),
         terminal=None,
@@ -1763,11 +1059,51 @@ class Pipeline(tuple):
         self.params = params
         self.width = len(self.slots.variables)
         self.prefilter = prefilter
-        self.fused = tuple(ops) if fused is None else tuple(fused)
+        self.levels = tuple(op for op in ops if isinstance(op, (FetchOp, ProbeOp)))
         self.seed_slots = tuple(seed_slots)
         self.body = tuple(body)
         self.terminal = terminal
+        self._signed = None
         return self
+
+    def signed_faces(self) -> SignedFaces:
+        """The old and delta faces and the signed terminal, compiled on
+        first use (a racing first use compiles twice, harmlessly)."""
+        faces = self._signed
+        if faces is None:
+            faces = self._signed = _compile_signed(self)
+        return faces
+
+
+def _compile_signed(pipe: Pipeline) -> SignedFaces:
+    """Compile ``pipe``'s signed faces from the same specs and compilers
+    as its hot face.  The sign column gets the slot after the plan's
+    variables; every level's liveness set keeps it."""
+    slots = pipe.slots.extend([_SIGN])
+    sign = slots.index[_SIGN]
+    bound = {slot for slot, _ in pipe.seed_slots}
+    old = []
+    delta = []
+    for op in pipe.levels:
+        if isinstance(op, ProbeOp):
+            # The slice join of a probe is a fetch keyed on every position.
+            every = tuple(range(len(op.atom.terms)))
+            join = FetchOp(op.atom, every, (), (), keep=op.keep)
+            step, after = _compile_probe(op, slots, bound | {sign}, op._read_old)
+        else:
+            join = op
+            step, after = _compile_fetch(op, slots, bound | {sign}, op._read_old)
+        read = ExecutionContext.lookup_keys_delta
+        delta.append(_compile_fetch(join, slots, bound, read, sign)[0])
+        old.append(step)
+        bound = after - {sign}
+    return SignedFaces(
+        len(slots),
+        sign,
+        tuple(old),
+        tuple(delta),
+        _compile_accumulate(pipe[-1], slots, sign),
+    )
 
 
 def _parameter_constraints(
@@ -1809,11 +1145,13 @@ def _parameter_constraints(
 def _assign_keep_sets(ops: list[Operator], head_terms: tuple[Term, ...]) -> None:
     """The backward liveness pass: give every data operator the ``keep``
     set of variables some strictly-later operator (or the projection)
-    still reads, so gathers skip dead columns.  The delta driver runs the
-    same operators in the same order (new-prefix / slice-join / old-
-    suffix all read the same per-level key, check and head variables), so
-    one keep set is valid for every face."""
+    still reads, so gathers skip dead columns.  Every face runs the same
+    operators in the same order (execute_plan_delta's new-prefix /
+    slice-join / old-suffix all read the same per-level key, check and
+    head variables), so one keep set is valid for every face; the sign
+    column is live throughout because the signed terminal reads it."""
     needed: set[Variable] = {t for t in head_terms if isinstance(t, Variable)}
+    needed.add(_SIGN)
     for op in reversed(ops):
         if isinstance(op, (FilterOp, ProjectDedupOp)):
             continue
@@ -1829,11 +1167,10 @@ def _assign_keep_sets(ops: list[Operator], head_terms: tuple[Term, ...]) -> None
 
 
 def build_pipeline(plan: Plan) -> Pipeline:
-    """Lower ``plan``'s fetch/probe steps into the physical operator
-    pipeline.  The set of bound variables before each step is known at
-    compile time, so every operator's key/check/bind positions, its
-    variable slots and its live-column set are all static; the returned
-    :class:`Pipeline` additionally carries the fused hot-path sequence.
+    """Lower ``plan``'s fetch/probe steps into operator specs and compile
+    their hot face.  The set of bound variables before each step is known
+    at compile time, so every operator's key/check/bind positions, its
+    variable slots and its live-column set are all static.
     """
     params = frozenset(plan.parameters)
     if not plan.satisfiable:
@@ -1874,7 +1211,8 @@ def build_pipeline(plan: Plan) -> Pipeline:
         op_type = ViewScanOp if is_view else FetchOp
         ops.append(op_type(step.atom, key, check, bind, dedup, step.rule))
         bound.update(step.binds)
-    ops.append(ProjectDedupOp(plan.head_terms))
+    project = ProjectDedupOp(plan.head_terms)
+    ops.append(project)
     _assign_keep_sets(ops, plan.head_terms)
 
     # The per-plan slot table: parameters, bind targets, atom variables
@@ -1885,16 +1223,10 @@ def build_pipeline(plan: Plan) -> Pipeline:
         slot_vars.extend(t for t in step.atom.terms if isinstance(t, Variable))
     slot_vars.extend(t for t in plan.head_terms if isinstance(t, Variable))
 
-    # The fused hot-path sequence: the prefilter is evaluated on the seed
-    # by execute_plan, and a trailing fetch+project pair emits head rows
-    # directly.
-    fused: list = [op for op in ops if op is not prefilter]
-    if len(fused) >= 2 and isinstance(fused[-2], FetchOp):
-        fused[-2:] = [_FusedFetchProject(fused[-2], fused[-1])]
-
-    # Compile the fused sequence down to slot-index closures (what
-    # execute_plan runs); the boundness of every slot at every position
-    # is static, so all variable hashing happens here, once per plan.
+    # Compile the hot face down to slot-index closures; the boundness of
+    # every slot at every position is static, so all variable hashing
+    # happens here, once per plan.  A trailing fetch fuses with the
+    # projection.
     slots = SlotTable(slot_vars)
     sidx = slots.index
     seed_vars = tuple(
@@ -1902,19 +1234,20 @@ def build_pipeline(plan: Plan) -> Pipeline:
     )
     seed_slots = tuple((sidx[v], v) for v in seed_vars)
     bound_slots = {slot for slot, _ in seed_slots}
+    levels = [op for op in ops if isinstance(op, (FetchOp, ProbeOp))]
+    fused = bool(levels) and isinstance(levels[-1], FetchOp)
     body = []
-    for op in fused[:-1]:
+    for op in levels[:-1] if fused else levels:
         if isinstance(op, FetchOp):
-            step, bound_slots = _compile_fetch(op, slots, bound_slots)
+            step, bound_slots = _compile_fetch(op, slots, bound_slots, op._read)
         else:
-            step, bound_slots = _compile_probe(op, slots, bound_slots)
+            step, bound_slots = _compile_probe(op, slots, bound_slots, op._read)
         body.append(step)
-    tail = fused[-1]
-    if isinstance(tail, _FusedFetchProject):
-        terminal = _compile_fused(tail, slots, bound_slots)
+    if fused:
+        terminal = _compile_fused(levels[-1], project, slots, bound_slots)
     else:
-        terminal = _compile_project(tail, slots, bound_slots)
-    return Pipeline(ops, slots, params, prefilter, fused, seed_slots, body, terminal)
+        terminal = _compile_project(project, slots)
+    return Pipeline(ops, slots, params, prefilter, seed_slots, body, terminal)
 
 
 #: The process-wide LRU of lowered pipelines (satellite of PR 8: the old
@@ -2007,8 +1340,8 @@ def execute_plan(
     **kwargs: object,
 ) -> tuple[Row, ...]:
     """Run ``plan`` on ``db`` (a Database or an :class:`ExecutionContext`)
-    through the columnar operator pipeline (the fused hot-path sequence)
-    and return the deduplicated answer tuples.
+    through the compiled hot face of its pipeline and return the
+    deduplicated answer tuples.
 
     Parameter values may be passed as a mapping (keys are variables or
     their names) and/or as keyword arguments.
@@ -2041,12 +1374,19 @@ def _execute_merged(plan: Plan, db, values: Assignment) -> tuple[Row, ...]:
     return tuple(pipe.terminal(ctx, columns, n))
 
 
+def _seed_columns(pipe: Pipeline, seed: Assignment, width: int) -> list:
+    """The length-1 batch an execution starts from: the seed values in
+    their slots, every other column unbound."""
+    columns: list[list | None] = [None] * width
+    for slot, var in pipe.seed_slots:
+        columns[slot] = [seed[var]]
+    return columns
+
+
 def execute_plan_counting(
     plan: Plan,
     db,
     parameters: Mapping[object, object] | None = None,
-    *,
-    profiles: list["OperatorProfile"] | None = None,
     **kwargs: object,
 ) -> dict[Row, int]:
     """Like :func:`execute_plan`, but return ``{answer row: derivation
@@ -2055,8 +1395,10 @@ def execute_plan_counting(
     The multiplicities are the materialized state incremental maintenance
     needs: an answer row is in the result exactly while its count is
     positive, and :func:`execute_plan_delta` produces the signed count
-    changes a batch of updates causes.  Pass ``profiles`` (a list) to
-    collect one :class:`OperatorProfile` per operator along the way.
+    changes a batch of updates causes.  Runs the old face over an
+    all-``+1`` seed, so the counts are those of the state at the
+    context's watermark: a context carrying a change slice is read as it
+    was before the slice (a fresh context carries none).
 
     Raises :class:`~repro.errors.IncrementalError` (eagerly, whatever the
     data) for plans that fetch through an embedded access rule: their
@@ -2065,36 +1407,22 @@ def execute_plan_counting(
     """
     check_delta_supported(plan)
     seed = _seed_assignment(plan, parameters, kwargs)
+    counts: dict[Row, int] = {}
     if not plan.satisfiable:
-        return {}
+        return counts
     ctx = _as_context(db)
     pipe = pipeline_for(plan)
-    batch = ColumnarBatch.seed(pipe.slots, seed)
-    for op in pipe[:-1]:
-        if profiles is None:
-            batch = op.run(ctx, batch)
-            continue
-        before = ctx.stats.snapshot()
-        start = perf_counter()
-        out = op.run(ctx, batch)
-        elapsed = perf_counter() - start
-        _profile(
-            profiles, str(op), len(batch), len(out), ctx.stats.since(before), elapsed
-        )
-        batch = out
-    project = pipe[-1]
-    if profiles is None:
-        return project.counts(batch)
-    start = perf_counter()
-    counts = project.counts(batch)
-    _profile(
-        profiles,
-        str(project),
-        len(batch),
-        len(counts),
-        AccessStats(),
-        perf_counter() - start,
-    )
+    if pipe.prefilter is not None and not pipe.prefilter.check_seed(seed):
+        return counts
+    faces = pipe.signed_faces()
+    columns = _seed_columns(pipe, seed, faces.width)
+    columns[faces.sign] = [1]
+    n = 1
+    for step in faces.old:
+        columns, n = step(ctx, columns, n)
+        if not n:
+            return counts
+    faces.accumulate(columns, n, counts)
     return counts
 
 
@@ -2112,18 +1440,17 @@ def execute_plan_delta(
     (positive -- derivations gained, negative -- lost).
 
     For each operator level ``i`` whose relation effectively changed,
-    levels before ``i`` run on the new state (shared across levels via one
-    incrementally extended prefix batch), level ``i`` joins the in-memory
-    slice (``run_delta``, zero tuples accessed), and levels after ``i``
-    run on the pre-delta snapshot (``run_old``) -- so every derivation
-    gained or lost is produced exactly once however many levels changed,
-    with one bulk database call per level.  The joins are vectorized over
-    :class:`~repro.core.columnar.SignedColumnarBatch`, the same columnar
-    representation the standard path uses.  Levels whose relation did not
-    change cost nothing beyond the prefix they already share; an empty
-    slice costs zero accesses.  Applying the result to the counts of
-    :func:`execute_plan_counting` reproduces a from-scratch run on the
-    new state.
+    levels before ``i`` run on the new state (the hot face, shared across
+    levels via one incrementally extended prefix batch), level ``i`` joins
+    the in-memory slice (the delta face, zero tuples accessed), and levels
+    after ``i`` run on the pre-delta snapshot (the old face) -- so every
+    derivation gained or lost is produced exactly once however many levels
+    changed, with one bulk database call per level.  Levels whose
+    relation did not change cost nothing beyond the prefix they already
+    share; an empty slice costs zero accesses.  Applying the result to
+    the counts of :func:`execute_plan_counting` reproduces a from-scratch
+    run on the new state.  Pass ``profiles`` (a list) to collect one
+    :class:`OperatorProfile` per operator application.
 
     Raises :class:`~repro.errors.IncrementalError` for plans that fetch
     through an embedded access rule (no exact counting semantics) --
@@ -2143,62 +1470,57 @@ def execute_plan_delta(
     if not plan.satisfiable:
         return changes
     pipe = pipeline_for(plan)
-    prefix = ColumnarBatch.seed(pipe.slots, seed)
-    for op in pipe[:-1]:
-        if isinstance(op, FilterOp):
-            prefix = op.run(ctx, prefix)
-            _profile(profiles, op, 1, len(prefix), AccessStats())
-    if not prefix.length:
-        return changes
-    levels = [op for op in pipe[:-1] if not isinstance(op, FilterOp)]
-    project = pipe[-1]
+    prefilter = pipe.prefilter
+    if prefilter is not None:
+        passed = prefilter.check_seed(seed)
+        _profile(profiles, prefilter, 1, int(passed), AccessStats())
+        if not passed:
+            return changes
+    levels = pipe.levels
     relevant = {
-        i for i, level in enumerate(levels) if ctx.delta_rows(level.atom.relation)
+        i for i, level in enumerate(levels) if ctx.delta_net(level.atom.relation)
     }
     if not relevant:
         return changes
     last = max(relevant)
+    faces = pipe.signed_faces()
 
-    def run_measured(op, label: str, batch, method):
+    def apply(label: str, j: int, step, columns, n):
         """One operator application, profiled only when asked to be."""
         if profiles is None:
-            return method(ctx, batch)
+            return step(ctx, columns, n)
         before = ctx.stats.snapshot()
         start = perf_counter()
-        out = method(ctx, batch)
+        out = step(ctx, columns, n)
         elapsed = perf_counter() - start
         _profile(
             profiles,
-            f"{label} {op}",
-            len(batch),
-            len(out),
+            f"{label}[{j + 1}] {levels[j]}",
+            n,
+            out[1],
             ctx.stats.since(before),
             elapsed,
         )
         return out
 
-    for i, level in enumerate(levels):
+    prefix = _seed_columns(pipe, seed, pipe.width)
+    n = 1
+    for i in range(len(levels)):
         if i in relevant:
-            signed = run_measured(
-                level,
-                f"Δ[{i + 1}]",
-                SignedColumnarBatch(prefix, [1] * prefix.length),
-                level.run_delta,
-            )
+            columns, m = apply("Δ", i, faces.delta[i], prefix, n)
             for j in range(i + 1, len(levels)):
-                if not len(signed):
+                if not m:
                     break
-                signed = run_measured(
-                    levels[j], f"old[{j + 1}]", signed, levels[j].run_old
-                )
-            project.accumulate_signed(signed, changes)
+                columns, m = apply("old", j, faces.old[j], columns, m)
+            if m:
+                faces.accumulate(columns, m, changes)
         if i >= last:
             break
-        prefix = run_measured(level, f"new[{i + 1}]", prefix, level.run)
-        if not prefix.length:
+        prefix, n = apply("new", i, pipe.body[i], prefix, n)
+        if not n:
             break
     changes = {row: change for row, change in changes.items() if change}
-    _profile(profiles, project, len(changes), len(changes), AccessStats())
+    _profile(profiles, pipe[-1], len(changes), len(changes), AccessStats())
     return changes
 
 
@@ -2243,8 +1565,10 @@ def delta_fanout_bound(plan: Plan, delta_sizes: Mapping[str, int]) -> int:
 
 def check_delta_supported(plan: Plan) -> None:
     """Raise :class:`~repro.errors.IncrementalError` unless every fetch of
-    ``plan`` goes through a plain or full access rule (embedded rules have
-    no exact counting semantics -- see :meth:`FetchOp.run_delta`)."""
+    ``plan`` goes through a plain or full access rule: an embedded rule's
+    fetch deduplicates output projections *per source row*, so its
+    derivation count is not a product of per-level multiplicities and
+    signed deltas cannot be exact."""
     for step in plan.steps:
         if isinstance(step, FetchStep) and isinstance(step.rule, EmbeddedAccessRule):
             raise IncrementalError(
@@ -2341,39 +1665,47 @@ def profile_plan(
     plan: Plan,
     db,
     parameters: Mapping[object, object] | None = None,
-    *,
-    fused: bool = False,
     **kwargs: object,
 ) -> PlanProfile:
     """Like :func:`execute_plan`, but record per-operator row counts,
     access-statistics deltas and wall time along the way.
 
-    By default the *unfused* operator sequence is profiled -- one entry
-    per logical operator, the form fusion decisions are made from.  Pass
-    ``fused=True`` to profile the hot-path sequence :func:`execute_plan`
-    actually runs (prefilter + fused tail).
+    The profiled closures are the hot face :func:`execute_plan` runs: one
+    entry per :attr:`Pipeline.body` step plus the terminal (a trailing
+    fetch fused with the projection reports as one ``fused[...]``
+    entry).  Like :func:`execute_plan`, the run stops at the first step
+    that leaves no rows.
     """
     seed = _seed_assignment(plan, parameters, kwargs)
     if not plan.satisfiable:
         return PlanProfile(plan, (), ())
     ctx = _as_context(db)
     pipe = pipeline_for(plan)
-    if fused:
-        ops = pipe.fused if pipe.prefilter is None else (pipe.prefilter, *pipe.fused)
-    else:
-        ops = tuple(pipe)
+    if pipe.prefilter is not None and not pipe.prefilter.check_seed(seed):
+        return PlanProfile(plan, (), ())
     profiles: list[OperatorProfile] = []
-    batch = ColumnarBatch.seed(pipe.slots, seed)
-    for op in ops:
+    columns = _seed_columns(pipe, seed, pipe.width)
+    n = 1
+    for op, step in zip(pipe.levels, pipe.body):
         before = ctx.stats.snapshot()
         start = perf_counter()
-        out = op.run(ctx, batch)
+        columns, m = step(ctx, columns, n)
         elapsed = perf_counter() - start
-        _profile(
-            profiles, str(op), len(batch), len(out), ctx.stats.since(before), elapsed
-        )
-        batch = out
-    return PlanProfile(plan, tuple(batch), tuple(profiles))
+        _profile(profiles, op, n, m, ctx.stats.since(before), elapsed)
+        n = m
+        if not n:
+            return PlanProfile(plan, (), tuple(profiles))
+    project = pipe[-1]
+    if len(pipe.body) < len(pipe.levels):
+        label = f"fused[{pipe.levels[-1]}; {project}]"
+    else:
+        label = str(project)
+    before = ctx.stats.snapshot()
+    start = perf_counter()
+    rows = pipe.terminal(ctx, columns, n)
+    elapsed = perf_counter() - start
+    _profile(profiles, label, n, len(rows), ctx.stats.since(before), elapsed)
+    return PlanProfile(plan, tuple(rows), tuple(profiles))
 
 
 # -- the per-tuple reference path ----------------------------------------

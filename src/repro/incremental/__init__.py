@@ -8,9 +8,9 @@ refresh path, built on three pieces of machinery:
 * the :class:`~repro.relational.instance.ChangeLog` every
   :class:`~repro.relational.instance.Database` keeps -- a monotonic log of
   effective inserts and deletes, sliced by watermark;
-* the delta faces of the physical operators
-  (:meth:`~repro.core.executor.FetchOp.run_delta` /
-  :meth:`~repro.core.executor.FetchOp.run_old`), composed by
+* the signed faces of the compiled operators
+  (:meth:`~repro.core.executor.Pipeline.signed_faces`: the change-slice
+  join and the pre-delta snapshot reads), composed by
   :func:`~repro.core.executor.execute_plan_delta` into the standard delta
   rule: per changed operator level, new-state prefix |x| in-memory change
   slice |x| old-state suffix, one bulk database call per level;

@@ -1,11 +1,10 @@
 """Tests for the columnar executor layer (repro.core.columnar and the
 compiled pipeline built on it).
 
-Covers the five pillars of the PR-8 representation change: slot-table
-compilation (variable -> column index, fixed per plan), constant
-interning identity, fused-vs-unfused equivalence on seeded workloads,
-delta-join vectorization under mixed churn, and the pipeline LRU cache's
-eviction/stats discipline.
+Covers slot-table compilation (variable -> column index, fixed per
+plan), constant interning identity, fused-vs-unfused equivalence on
+seeded workloads, delta-join vectorization under mixed churn, and the
+pipeline LRU cache's eviction/stats discipline.
 """
 
 from sys import intern as sys_intern
@@ -23,20 +22,19 @@ from repro import (
     compile_plan,
 )
 from repro.core.columnar import (
-    ColumnarBatch,
     PipelineCache,
     PipelineCacheStats,
-    SignedColumnarBatch,
     SlotTable,
 )
 from repro.core.executor import (
     ExecutionContext,
     FetchOp,
     ProjectDedupOp,
-    _FusedFetchProject,
     build_pipeline,
     execute_per_tuple,
     execute_plan,
+    execute_plan_counting,
+    execute_plan_delta,
     merge_parameter_values,
     pipeline_cache_stats,
     pipeline_for,
@@ -117,41 +115,6 @@ class TestSlotCompilation:
         assert pipe.width == 0 and pipe.terminal is None
 
 
-class TestColumnarBatch:
-    def test_roundtrip_from_and_to_assignments(self):
-        assignments = [{P: 1, X: 2}, {P: 1, X: 3}, {P: 4, X: 5}]
-        batch = ColumnarBatch.from_assignments(assignments)
-        assert batch.length == 3
-        assert batch.to_assignments() == assignments
-
-    def test_ragged_assignments_rejected(self):
-        with pytest.raises(ValueError, match="ragged"):
-            ColumnarBatch.from_assignments([{P: 1, X: 2}, {P: 3}])
-
-    def test_seed_binds_parameters_only(self):
-        slots = SlotTable([P, X, N])
-        batch = ColumnarBatch.seed(slots, {P: 7})
-        assert batch.length == 1
-        assert batch.column(P) == [7]
-        assert batch.column_or_none(X) is None
-        with pytest.raises(KeyError):
-            batch.column(X)
-
-    def test_select_gathers_bound_columns(self):
-        batch = ColumnarBatch.from_assignments(
-            [{P: 1, X: 10}, {P: 2, X: 20}, {P: 3, X: 30}]
-        )
-        sub = batch.select([2, 0])
-        assert sub.to_assignments() == [{P: 3, X: 30}, {P: 1, X: 10}]
-        assert sub.slots is batch.slots
-
-    def test_signed_batch_pairs_roundtrip(self):
-        pairs = [({P: 1}, 1), ({P: 2}, -1)]
-        signed = SignedColumnarBatch.from_pairs(pairs)
-        assert len(signed) == 2
-        assert signed.to_pairs() == pairs
-
-
 class TestInterningIdentity:
     def test_merge_parameter_values_interns_exact_strings(self):
         # A runtime-built string is a distinct object pre-interning.
@@ -194,33 +157,18 @@ class TestFusion:
             [Atom("friend", ["?p", "?x"]), Atom("person", ["?x", "?n", "NYC"])],
         )
         pipe = build_pipeline(compile_plan(q, social_access, ["p"]))
-        # The unfused face keeps the addressable operators...
+        # The specs keep the addressable operators...
         assert isinstance(pipe[-2], FetchOp)
         assert isinstance(pipe[-1], ProjectDedupOp)
-        # ...while the hot-path sequence collapses the pair.
-        assert isinstance(pipe.fused[-1], _FusedFetchProject)
-        assert pipe.fused[-1].fetch is pipe[-2]
-        assert pipe.fused[-1].project is pipe[-1]
-
-    @staticmethod
-    def run_unfused(plan, db, values):
-        """Execute via the unfused operator objects one batch at a time --
-        the semantic reference for the compiled fused closures."""
-        pipe = build_pipeline(plan)
-        if pipe == ():
-            return []
-        ctx = ExecutionContext(db)
-        merged = merge_parameter_values(values, {})
-        batch = ColumnarBatch.seed(
-            pipe.slots, {v: merged[v] for v in plan.parameters}
-        )
-        *body, terminal = list(pipe)
-        for op in body:
-            batch = op.run(ctx, batch)
-        return terminal.run(ctx, batch)
+        # ...while the hot face folds the trailing fetch into the
+        # terminal: two data levels, one body step.
+        assert len(pipe.levels) == 2
+        assert len(pipe.body) == 1
 
     @pytest.mark.parametrize("bundle", RUNNING_QUERIES, ids=lambda b: b.name)
     def test_fused_equals_unfused_on_seeded_workload(self, bundle):
+        # The hot face fuses its tail; the counting pass runs the same
+        # specs unfused (old face plus the signed terminal).
         engine = social_engine(60, seed=1)
         db = engine.require_database()
         prepared = bundle.prepare(engine)
@@ -229,7 +177,7 @@ class TestFusion:
         for pid in range(0, 60, 7):
             values = {param: pid}
             fused = set(execute_plan(plan, db, values))
-            unfused = set(self.run_unfused(plan, db, values))
+            unfused = set(execute_plan_counting(plan, db, values))
             reference = set(execute_per_tuple(plan, db, values))
             assert fused == unfused == reference, (
                 f"{bundle.name} diverges at pid={pid}"
@@ -262,87 +210,76 @@ class TestFusion:
 
 
 class TestDeltaVectorization:
-    """run_delta over a many-row signed batch must equal the row-at-a-time
+    """The delta face over a many-row batch must equal the row-at-a-time
     decomposition -- vectorization changes the batching, never the
     multiset of signed derivations."""
 
-    def _delta_ctx(self, persons=50, seed=2):
-        engine = social_engine(persons, seed=seed)
-        db = engine.require_database()
+    PERSONS = 50
+
+    def _churn(self, db, seed=2):
+        """Apply mixed churn (inserts and deletes); return its slice."""
         mark = db.change_log.watermark
         for batch in generate_churn(
-            generate_social_network(persons, seed=seed),
+            generate_social_network(self.PERSONS, seed=seed),
             batches=3,
             batch_size=15,
             seed=seed + 1,
-            delete_fraction=0.5,  # mixed churn: inserts and deletes
+            delete_fraction=0.5,
         ):
             batch.apply(db)
         delta = db.change_log.net_since(mark)
         assert any(sign > 0 for net in delta.values() for sign in net.values())
         assert any(sign < 0 for net in delta.values() for sign in net.values())
-        return engine, db, delta
-
-    @staticmethod
-    def _signed_multiset(signed):
-        return sorted(
-            (tuple(sorted((str(v), val) for v, val in a.items())), s)
-            for a, s in signed.to_pairs()
-        )
+        return delta
 
     def test_batched_run_delta_equals_row_at_a_time(self):
-        engine, db, delta = self._delta_ctx()
+        engine = social_engine(self.PERSONS, seed=2)
+        db = engine.require_database()
+        delta = self._churn(db)
         q = ConjunctiveQuery(["x"], [Atom("friend", ["?p", "?x"])])
-        plan = compile_plan(q, engine.access, ["p"])
-        fetch = next(op for op in pipeline_for(plan) if isinstance(op, FetchOp))
-        pairs = [({P: pid}, 1 if pid % 2 else -1) for pid in range(12)]
+        pipe = pipeline_for(compile_plan(q, engine.access, ["p"]))
+        faces = pipe.signed_faces()
+        p_slot, x_slot = pipe.slots.slot(P), pipe.slots.slot(X)
 
-        ctx = ExecutionContext(db, delta=delta)
-        vectorized = fetch.run_delta(ctx, SignedColumnarBatch.from_pairs(pairs))
+        def join(pids):
+            columns = [None] * pipe.width
+            columns[p_slot] = list(pids)
+            ctx = ExecutionContext(db, delta=delta)
+            out, n = faces.delta[0](ctx, columns, len(pids))
+            assert ctx.stats.tuples_accessed == 0
+            return list(zip(out[x_slot], out[faces.sign])) if n else []
 
-        one_by_one = []
-        for pair in pairs:
-            ctx1 = ExecutionContext(db, delta=delta)
-            out = fetch.run_delta(ctx1, SignedColumnarBatch.from_pairs([pair]))
-            one_by_one.extend(out.to_pairs())
-        combined = SignedColumnarBatch.from_pairs(one_by_one or [({}, 1)][:0])
-        assert self._signed_multiset(vectorized) == sorted(
-            (tuple(sorted((str(v), val) for v, val in a.items())), s)
-            for a, s in one_by_one
-        )
+        pids = sorted({row[0] for row in delta["friend"]} | set(range(6)))
+        vectorized = join(pids)
+        one_by_one = [pair for pid in pids for pair in join([pid])]
+        assert vectorized
+        assert sorted(vectorized) == sorted(one_by_one)
 
     def test_run_old_and_run_delta_telescope_to_the_new_state(self):
-        """old + delta == new, as multisets of derivations, for a fetch
-        over the mutated relation -- the telescoping identity the
-        incremental driver relies on, checked at the operator level."""
-        engine, db, delta = self._delta_ctx()
+        """old + delta == new, as derivation counts: the old face
+        reproduces the pre-churn state from the post-churn database, and
+        the delta face supplies exactly the difference."""
+        engine = social_engine(self.PERSONS, seed=2)
+        db = engine.require_database()
         q = ConjunctiveQuery(["x"], [Atom("friend", ["?p", "?x"])])
         plan = compile_plan(q, engine.access, ["p"])
-        fetch = next(op for op in pipeline_for(plan) if isinstance(op, FetchOp))
-        x = next(t for t in fetch.atom.terms if t == Variable("x"))
-
-        for pid in range(0, 50, 11):
-            seed = [({P: pid}, 1)]
-            new_ctx = ExecutionContext(db)
-            new_rows = sorted(
-                a[x]
-                for a in fetch.run(
-                    new_ctx, ColumnarBatch.from_assignments([{P: pid}])
-                ).to_assignments()
+        pids = range(0, self.PERSONS, 11)
+        before = {pid: execute_plan_counting(plan, db, p=pid) for pid in pids}
+        delta = self._churn(db)
+        for pid in pids:
+            old = execute_plan_counting(
+                plan, ExecutionContext(db, delta=delta), p=pid
             )
-            old_ctx = ExecutionContext(db, delta=delta)
-            counts: dict = {}
-            for a, s in fetch.run_old(
-                old_ctx, SignedColumnarBatch.from_pairs(seed)
-            ).to_pairs():
-                counts[a[x]] = counts.get(a[x], 0) + s
-            for a, s in fetch.run_delta(
-                ExecutionContext(db, delta=delta),
-                SignedColumnarBatch.from_pairs(seed),
-            ).to_pairs():
-                counts[a[x]] = counts.get(a[x], 0) + s
-            telescoped = sorted(v for v, c in counts.items() for _ in range(c))
-            assert telescoped == new_rows, f"telescoping fails at pid={pid}"
+            assert old == before[pid], f"old face diverges at pid={pid}"
+            changes = execute_plan_delta(
+                plan, ExecutionContext(db, delta=delta), p=pid
+            )
+            for row, change in changes.items():
+                old[row] = old.get(row, 0) + change
+            telescoped = {row: count for row, count in old.items() if count}
+            assert telescoped == execute_plan_counting(plan, db, p=pid), (
+                f"telescoping fails at pid={pid}"
+            )
 
 
 class TestPipelineCache:

@@ -21,6 +21,7 @@ from repro import (
     compile_plan,
 )
 from repro.core.executor import (
+    ExecutionContext,
     FetchOp,
     FilterOp,
     ProbeOp,
@@ -28,10 +29,21 @@ from repro.core.executor import (
     build_pipeline,
     execute_per_tuple,
     execute_plan,
+    execute_plan_counting,
+    execute_plan_delta,
     pipeline_for,
     profile_plan,
 )
-from repro.errors import SchemaError
+from repro.errors import IncrementalError, SchemaError
+from repro.workloads import (
+    RUNNING_QUERIES,
+    VIEW_QUERIES,
+    generate_social_network,
+    register_workload_views,
+    sample_pids,
+    sample_urls,
+    social_engine,
+)
 
 Q1 = ConjunctiveQuery(
     ["x"],
@@ -250,7 +262,9 @@ class TestProfile:
         plan = compile_plan(Q1, social_access, ["p"])
         profile = profile_plan(plan, social_db, p=1)
         assert set(profile.rows) == set(execute_plan(plan, social_db, p=1))
-        assert len(profile.operators) == 3
+        # The friend fetch, then the fused friend-person fetch + project.
+        assert len(profile.operators) == 2
+        assert profile.operators[-1].operator.startswith("fused[fetch person")
         first = profile.operators[0]
         assert first.rows_in == 1  # the seed assignment
         assert first.rows_out == 2  # person 1 has two friends
@@ -262,6 +276,71 @@ class TestProfile:
         profile = profile_plan(plan, social_db, p=1)
         for prev, nxt in zip(profile.operators, profile.operators[1:]):
             assert nxt.rows_in == prev.rows_out
+
+    @pytest.mark.parametrize("bundle", RUNNING_QUERIES, ids=lambda b: b.name)
+    def test_profile_times_the_production_closures(self, bundle):
+        """One profile entry per hot-face body step plus the terminal --
+        the closures execute_plan runs -- with the same rows and the same
+        accounting as an unprofiled execution."""
+        engine = social_engine(80, seed=4)
+        db = engine.require_database()
+        plan = bundle.prepare(engine).plan(bundle.parameters)
+        pipe = pipeline_for(plan)
+        reached = 0
+        for pid in sample_pids(80, 15, seed=4):
+            values = {bundle.parameters[0]: pid}
+            ctx = ExecutionContext(db)
+            rows = execute_plan(plan, ctx, values)
+            profile = profile_plan(plan, db, values)
+            assert profile.rows == rows
+            assert profile.tuples_accessed == ctx.stats.tuples_accessed
+            body = profile.operators[: len(pipe.body)]
+            assert [op.operator for op in body] == [
+                str(level) for level in pipe.levels[: len(body)]
+            ]
+            if len(body) == len(pipe.body) and all(op.rows_out for op in body):
+                reached += 1
+                assert len(profile.operators) == len(pipe.body) + 1
+            else:  # stopped where execute_plan stops: at the first empty step
+                assert len(profile.operators) == len(body) and not rows
+        assert reached
+
+
+class TestCountingAccounting:
+    """execute_plan_counting runs the old face and execute_plan the hot
+    face: on the same state they return the same answers in the same
+    order and charge bit-identical access statistics."""
+
+    PERSONS = 300
+
+    def _check(self, engine, bundles) -> int:
+        db = engine.require_database()
+        states = engine.views.prepare(db)
+        data = generate_social_network(self.PERSONS, seed=5)
+        urls = sample_urls(data, 20, seed=5)
+        pids = sample_pids(self.PERSONS, 20, seed=5)
+        view_plans = 0
+        for bundle in bundles:
+            name = bundle.parameters[0]
+            plan = bundle.prepare(engine).plan(bundle.parameters)
+            view_plans += bool(plan.view_relations)
+            for value in urls if name == "u" else pids:
+                hot = ExecutionContext(db, views=states)
+                rows = execute_plan(plan, hot, {name: value})
+                counting = ExecutionContext(db, views=states)
+                counts = execute_plan_counting(plan, counting, {name: value})
+                assert tuple(counts) == rows, (bundle.name, value)
+                assert counting.stats == hot.stats, (bundle.name, value)
+        return view_plans
+
+    def test_counting_charges_what_execute_charges(self):
+        engine = social_engine(self.PERSONS, seed=5)
+        assert self._check(engine, RUNNING_QUERIES) == 0
+
+    def test_counting_charges_what_execute_charges_with_views(self):
+        engine = social_engine(self.PERSONS, seed=5)
+        register_workload_views(engine)
+        assert self._check(engine, RUNNING_QUERIES + VIEW_QUERIES) >= 2
 
 
 class TestExecutionContext:
@@ -276,7 +355,7 @@ class TestExecutionContext:
     def test_reads_charge_context_and_database(self, social_db):
         social_db.reset_stats()
         ctx = self._ctx(social_db)
-        ctx.lookup_many("friend", [{0: 1}])
+        ctx.lookup_keys("friend", (0,), [(1,)])
         ctx.contains("friend", (1, 2))
         assert ctx.stats.tuples_accessed == social_db.stats.tuples_accessed == 3
         assert ctx.stats.indexed_lookups == social_db.stats.indexed_lookups == 2
@@ -296,9 +375,9 @@ class TestExecutionContext:
         social_db.delete_many("friend", [(1, 2)])
         delta = social_db.change_log.net_since(mark)
         ctx = self._ctx(social_db, delta=delta)
-        (old,) = ctx.lookup_many_old("friend", [{0: 1}])
+        (old,) = ctx.lookup_keys_old("friend", (0,), [(1,)])
         assert set(old) == {(1, 3), (1, 2)}  # no (1, 9); (1, 2) restored
-        (new,) = ctx.lookup_many("friend", [{0: 1}])
+        (new,) = ctx.lookup_keys("friend", (0,), [(1,)])
         assert set(new) == {(1, 3), (1, 9)}
 
     def test_contains_many_old_answers_from_the_slice(self, social_db):
@@ -308,7 +387,7 @@ class TestExecutionContext:
         delta = social_db.change_log.net_since(mark)
         ctx = self._ctx(social_db, delta=delta)
         social_db.reset_stats()
-        verdicts = ctx.contains_many_old("friend", [(1, 9), (1, 2), (2, 4), (7, 7)])
+        verdicts = ctx.contains_rows_old("friend", [(1, 9), (1, 2), (2, 4), (7, 7)])
         assert verdicts == (False, True, True, False)
         # Only the two slice-unknown rows were probed.
         assert ctx.stats.indexed_lookups == 2
@@ -318,13 +397,14 @@ class TestExecutionContext:
         ctx = self._ctx(social_db, delta=delta)
         index = ctx.delta_index("friend", (0,))
         assert set(index) == {(1,), (2,)}
-        assert set(index[(1,)]) == {((1, 9), 1), ((1, 8), -1)}
+        # Signed rows: the stored row with its sign appended.
+        assert set(index[(1,)]) == {(1, 9, 1), (1, 8, -1)}
         assert ctx.delta_index("friend", (0,)) is index  # memoized
 
     def test_empty_slice_reads_pass_through(self, social_db):
         ctx = self._ctx(social_db)
-        assert ctx.lookup_many_old("friend", [{0: 1}]) == ctx.lookup_many(
-            "friend", [{0: 1}]
+        assert ctx.lookup_keys_old("friend", (0,), [(1,)]) == ctx.lookup_keys(
+            "friend", (0,), [(1,)]
         )
         assert ctx.delta_net("friend") == {}
         assert ctx.delta_rows("friend") == ()
@@ -332,29 +412,20 @@ class TestExecutionContext:
 
 
 class TestDeltaOperatorFaces:
-    def test_keyless_fetch_run_delta_joins_every_row(self, social_db):
-        from repro import AccessRule, AccessSchema, ConjunctiveQuery
-        from repro.core.columnar import SignedColumnarBatch
-        from repro.core.executor import ExecutionContext, FetchOp, pipeline_for
+    """The delta face (the join against the change slice) and the old
+    face (pre-delta reads), driven through their entry points."""
 
+    def test_keyless_fetch_run_delta_joins_every_row(self, social_db):
         q = ConjunctiveQuery(["x", "y"], [Atom("friend", ["?x", "?y"])])
         access = AccessSchema(social_db.schema, [AccessRule("friend", [], bound=100)])
         plan = compile_plan(q, access)
         fetch = next(op for op in pipeline_for(plan) if isinstance(op, FetchOp))
         assert fetch.key_positions == ()
         ctx = ExecutionContext(social_db, delta={"friend": {(8, 9): 1, (1, 2): -1}})
-        signed = fetch.run_delta(ctx, SignedColumnarBatch.from_pairs([({}, 1)]))
-        x, y = fetch.atom.terms
-        assert {((a[x], a[y]), s) for a, s in signed.to_pairs()} == {
-            ((8, 9), 1),
-            ((1, 2), -1),
-        }
+        assert execute_plan_delta(plan, ctx) == {(8, 9): 1, (1, 2): -1}
+        assert ctx.stats.tuples_accessed == 0  # the slice lives in memory
 
     def test_embedded_fetch_delta_faces_raise(self, social_schema, social_db):
-        from repro import IncrementalError
-        from repro.core.columnar import SignedColumnarBatch
-        from repro.core.executor import ExecutionContext, FetchOp, pipeline_for
-
         access = AccessSchema(
             social_schema,
             [
@@ -363,26 +434,25 @@ class TestDeltaOperatorFaces:
             ],
         )
         plan = compile_plan(Q1, access, ["p"])
-        fetch = next(op for op in pipeline_for(plan) if isinstance(op, FetchOp))
         ctx = ExecutionContext(social_db, delta={"friend": {(1, 9): 1}})
-        seed = SignedColumnarBatch.from_pairs([({}, 1)])
         with pytest.raises(IncrementalError):
-            fetch.run_delta(ctx, seed)
+            execute_plan_delta(plan, ctx, p=1)
         with pytest.raises(IncrementalError):
-            fetch.run_old(ctx, seed)
+            execute_plan_counting(plan, ctx, p=1)
 
-    def test_probe_run_delta_multiplies_signs(self, social_db, social_access):
-        from repro.core.columnar import SignedColumnarBatch
-        from repro.core.executor import ExecutionContext, ProbeOp
-        from repro.logic.terms import Variable
-
-        probe = ProbeOp(Atom("friend", ["?a", "?b"]))
-        a, b = Variable("a"), Variable("b")
-        ctx = ExecutionContext(social_db, delta={"friend": {(1, 9): 1, (2, 8): -1}})
-        signed = probe.run_delta(
-            ctx,
-            SignedColumnarBatch.from_pairs(
-                [({a: 1, b: 9}, -1), ({a: 2, b: 8}, 1), ({a: 1, b: 2}, 1)]
-            ),
+    def test_probe_run_delta_multiplies_signs(self):
+        # Q(b) :- r(p, b), s(b): the probe on s is the only changed level,
+        # so its slice join signs every prefix row by its change, and rows
+        # the slice does not mention drop out.
+        schema = DatabaseSchema(
+            [RelationSchema("r", ["a", "b"]), RelationSchema("s", ["b"])]
         )
-        assert signed.to_pairs() == [({a: 1, b: 9}, -1), ({a: 2, b: 8}, -1)]
+        access = AccessSchema(
+            schema, [AccessRule("r", ["a"], bound=10), AccessRule("s", [], bound=10)]
+        )
+        q = ConjunctiveQuery(["b"], [Atom("r", ["?p", "?b"]), Atom("s", ["?b"])])
+        plan = compile_plan(q, access, ["p"])
+        assert isinstance(pipeline_for(plan).levels[-1], ProbeOp)
+        db = Database(schema, {"r": [(1, 2), (1, 3), (1, 4)], "s": [(3,), (4,)]})
+        ctx = ExecutionContext(db, delta={"s": {(2,): -1, (3,): 1}})
+        assert execute_plan_delta(plan, ctx, p=1) == {(2,): -1, (3,): 1}
