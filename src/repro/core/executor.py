@@ -76,7 +76,9 @@ stay within the plan's :attr:`~repro.core.plans.Plan.fanout_bound`.
 :func:`execute_per_tuple` keeps the pre-pipeline recursive per-assignment
 executor alive as the reference semantics: differential tests assert the
 pipeline agrees with it, and :mod:`repro.bench` measures the speedup of
-batched over per-tuple execution.
+batched over per-tuple execution.  It reads through the same
+:meth:`~ExecutionContext.lookup_keys` / :meth:`~ExecutionContext.contains_rows`
+methods as the pipeline, one single-key batch per partial assignment.
 
 Every execution runs inside an :class:`ExecutionContext` -- the database
 handle, a private per-execution :class:`AccessStats` (charged alongside
@@ -178,19 +180,19 @@ class ExecutionContext:
 
     ``views`` maps materialized-view names to their states
     (:class:`repro.views.ViewState` or anything with the same
-    ``lookup``/``lookup_keys``/``contains``/``contains_rows`` surface):
-    view-assisted plans (:mod:`repro.views`) read views through the
-    ``view_*`` methods below, charged to this execution's :attr:`stats`
-    only -- the database cumulative counters see base-table traffic
-    exclusively.  For delta executions, view answer changes ride in
-    :attr:`delta` under the view name, exactly like a base relation's
-    slice.
+    ``lookup_keys``/``contains_rows`` surface): view-assisted plans
+    (:mod:`repro.views`) read views through the ``view_*`` methods below,
+    charged to this execution's :attr:`stats` only -- the database
+    cumulative counters see base-table traffic exclusively.  For delta
+    executions, view answer changes ride in :attr:`delta` under the view
+    name, exactly like a base relation's slice.
 
-    The keyed reads (``lookup_keys``, ``contains_rows``, their ``_old``
-    and ``view_`` variants, and ``lookup_keys_delta``) all take
-    ``(relation, ...)`` after the context, so the compiled operators call
-    them as plain functions of the context; ``lookup``/``contains`` and
-    their ``view_`` variants serve the per-tuple reference executor.
+    Every read is a batch read in the storage backend's shape:
+    ``lookup_keys``/``contains_rows``, their ``_old`` and ``view_``
+    variants, and ``lookup_keys_delta``.  All take ``(relation, ...)``
+    after the context, so the compiled operators call them as plain
+    functions of the context; the per-tuple reference executor calls the
+    same methods with one-key batches.
     """
 
     __slots__ = (
@@ -248,9 +250,6 @@ class ExecutionContext:
 
     # -- live reads (charged to this execution and the database) ---------
 
-    def lookup(self, relation: str, pattern: Mapping[int, object]) -> tuple[Row, ...]:
-        return self.db.lookup(relation, pattern, self.stats)
-
     def lookup_keys(
         self, relation: str, positions: tuple[int, ...], keys: Sequence[Row]
     ) -> Sequence[tuple[Row, ...]]:
@@ -259,9 +258,6 @@ class ExecutionContext:
         resolved once for the batch; distinct keys are fetched -- and
         accounted -- once."""
         return self.db.lookup_keys(relation, positions, keys, self.stats)
-
-    def contains(self, relation: str, row: Sequence[object]) -> bool:
-        return self.db.contains(relation, row, self.stats)
 
     def contains_rows(
         self, relation: str, rows: Sequence[Row]
@@ -360,21 +356,13 @@ class ExecutionContext:
             )
         return state
 
-    def view_lookup(
-        self, name: str, pattern: Mapping[int, object]
-    ) -> tuple[Row, ...]:
-        """All rows of view ``name`` matching ``pattern``, charged to this
-        execution's stats (views live outside the database, so its
-        cumulative counters are untouched)."""
-        return self._view(name).lookup(pattern, self.stats)
-
     def view_lookup_keys(
         self, name: str, positions: tuple[int, ...], keys: Sequence[Row]
     ) -> Sequence[tuple[Row, ...]]:
+        """:meth:`lookup_keys` on view ``name``, charged to this
+        execution's stats (views live outside the database, so its
+        cumulative counters are untouched)."""
         return self._view(name).lookup_keys(positions, keys, self.stats)
-
-    def view_contains(self, name: str, row: Sequence[object]) -> bool:
-        return self._view(name).contains(row, self.stats)
 
     def view_contains_rows(
         self, name: str, rows: Sequence[Row]
@@ -1718,7 +1706,8 @@ def execute_per_tuple(
     **kwargs: object,
 ) -> tuple[Row, ...]:
     """The pre-pipeline reference executor: a recursive generator that
-    issues one :meth:`lookup`/:meth:`contains` per partial assignment.
+    issues one single-key ``lookup_keys``/``contains_rows`` per partial
+    assignment.
 
     Semantically identical to :func:`execute_plan`; kept as the baseline
     for differential tests and for :mod:`repro.bench`'s batched-vs-
@@ -1752,12 +1741,8 @@ def _run_per_tuple(
     is_view = step.atom.relation in plan.view_relations
     if isinstance(step, ProbeStep):
         row = tuple(_term_value(t, assignment) for t in step.atom.terms)
-        present = (
-            ctx.view_contains(step.atom.relation, row)
-            if is_view
-            else ctx.contains(step.atom.relation, row)
-        )
-        if present:
+        probe = ctx.view_contains_rows if is_view else ctx.contains_rows
+        if probe(step.atom.relation, (row,))[0]:
             yield from _run_per_tuple(plan, ctx, i + 1, assignment)
         return
 
@@ -1765,8 +1750,8 @@ def _run_per_tuple(
     if is_view:
         # View rules are always plain: key on every bound position and
         # read the view store (charged to the per-execution stats only).
-        pattern = _bound_pattern(atom, assignment)
-        for row in ctx.view_lookup(atom.relation, pattern):
+        positions, key = _bound_pattern(atom, assignment)
+        for row in ctx.view_lookup_keys(atom.relation, positions, (key,))[0]:
             extended = _extend(atom, row, assignment)
             if extended is not None:
                 yield from _run_per_tuple(plan, ctx, i + 1, extended)
@@ -1775,12 +1760,10 @@ def _run_per_tuple(
         # The access path is keyed on the rule's inputs only; other bound
         # positions are filtered after the fetch, and only the rule's
         # outputs become bound (deduplicated projections).
-        pattern = {
-            p: _term_value(atom.terms[p], assignment)
-            for p in step.input_positions
-        }
+        positions = tuple(sorted(step.input_positions))
+        key = tuple(_term_value(atom.terms[p], assignment) for p in positions)
         seen: set[Row] = set()
-        for row in ctx.lookup(atom.relation, pattern):
+        for row in ctx.lookup_keys(atom.relation, positions, (key,))[0]:
             if not row_matches(atom, row, assignment):
                 continue
             projection = tuple(row[p] for p in step.output_positions)
@@ -1805,8 +1788,8 @@ def _run_per_tuple(
     # is already bound -- a superset of the rule's inputs, so the declared
     # bound still applies and the lookup is at least as selective as the
     # access path guarantees.
-    pattern = _bound_pattern(atom, assignment)
-    for row in ctx.lookup(atom.relation, pattern):
+    positions, key = _bound_pattern(atom, assignment)
+    for row in ctx.lookup_keys(atom.relation, positions, (key,))[0]:
         extended = _extend(atom, row, assignment)
         if extended is not None:
             yield from _run_per_tuple(plan, ctx, i + 1, extended)

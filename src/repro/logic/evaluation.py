@@ -20,8 +20,9 @@ Two evaluators live here:
 from __future__ import annotations
 
 from itertools import product
-from typing import Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
+from repro.errors import SchemaError
 from repro.logic.ast import (
     And,
     Atom,
@@ -46,16 +47,34 @@ def _term_value(term, assignment: Mapping[Variable, object]):
     return assignment[term]
 
 
-def _bound_pattern(atom: Atom, assignment: Mapping[Variable, object]) -> dict[int, object]:
-    """The positions of ``atom`` whose value is already determined, mapped to
-    that value."""
-    pattern: dict[int, object] = {}
+def _bound_pattern(
+    atom: Atom, assignment: Mapping[Variable, object]
+) -> tuple[tuple[int, ...], tuple[object, ...]]:
+    """The ascending positions of ``atom`` whose value is already
+    determined, and those values: a ``(positions, key)`` pair ready for
+    ``lookup_keys``."""
+    positions: list[int] = []
+    key: list[object] = []
     for i, term in enumerate(atom.terms):
         if isinstance(term, Constant):
-            pattern[i] = term.value
+            positions.append(i)
+            key.append(term.value)
         elif term in assignment:
-            pattern[i] = assignment[term]
-    return pattern
+            positions.append(i)
+            key.append(assignment[term])
+    return tuple(positions), tuple(key)
+
+
+def _check_arities(db, atoms: Iterable[Atom]) -> None:
+    """Raise :class:`SchemaError` unless every atom names a relation of
+    ``db.schema`` with the atom's arity."""
+    for atom in atoms:
+        arity = db.schema.relation(atom.relation).arity
+        if len(atom.terms) != arity:
+            raise SchemaError(
+                f"atom {atom} has arity {len(atom.terms)}, but relation "
+                f"{atom.relation!r} has arity {arity}"
+            )
 
 
 def row_matches(
@@ -95,18 +114,20 @@ def join_atoms(db, atoms: Sequence[Atom], assignment: Mapping[Variable, object] 
 
     Atom order is chosen greedily: the next atom evaluated is always one
     with the largest number of bound positions, so each lookup is as
-    selective (and as index-friendly) as possible.
+    selective (and as index-friendly) as possible.  An atom whose arity
+    differs from its relation's raises :class:`SchemaError`.
     """
+    _check_arities(db, atoms)
     initial: Assignment = dict(assignment or {})
 
     def recurse(remaining: list[Atom], current: Assignment) -> Iterator[Assignment]:
         if not remaining:
             yield current
             return
-        atom = max(remaining, key=lambda a: len(_bound_pattern(a, current)))
+        atom = max(remaining, key=lambda a: len(_bound_pattern(a, current)[0]))
         rest = [a for a in remaining if a is not atom]
-        pattern = _bound_pattern(atom, current)
-        for row in db.lookup(atom.relation, pattern):
+        positions, key = _bound_pattern(atom, current)
+        for row in db.lookup_keys(atom.relation, positions, (key,))[0]:
             extended = _extend(atom, row, current)
             if extended is not None:
                 yield from recurse(rest, extended)
@@ -127,11 +148,13 @@ def active_domain(db, formula: Formula | None = None) -> tuple[object, ...]:
 def holds(formula: Formula, db, assignment: Mapping[Variable, object] | None = None, *, domain: Sequence[object] | None = None) -> bool:
     """Decide whether ``formula`` holds in ``db`` under ``assignment``
     (which must cover all free variables), with quantifiers ranging over
-    the active domain."""
+    the active domain.  An atom whose arity differs from its relation's
+    raises :class:`SchemaError`."""
     asg: Assignment = dict(assignment or {})
     missing = [v for v in formula.free_variables() if v not in asg]
     if missing:
         raise ValueError(f"unassigned free variables: {', '.join(map(str, missing))}")
+    _check_arities(db, formula.atoms())
     dom = tuple(domain) if domain is not None else active_domain(db, formula)
     return _holds(formula, db, asg, dom)
 
@@ -139,7 +162,7 @@ def holds(formula: Formula, db, assignment: Mapping[Variable, object] | None = N
 def _holds(formula: Formula, db, asg: Assignment, dom: tuple[object, ...]) -> bool:
     if isinstance(formula, Atom):
         row = tuple(_term_value(t, asg) for t in formula.terms)
-        return db.contains(formula.relation, row)
+        return db.contains_rows(formula.relation, (row,))[0]
     if isinstance(formula, Equality):
         return _term_value(formula.left, asg) == _term_value(formula.right, asg)
     if isinstance(formula, And):

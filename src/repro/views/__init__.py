@@ -20,7 +20,9 @@ The package in three pieces:
 * :class:`ViewState` -- one view's materialization: answer rows with
   derivation counts (via
   :func:`~repro.core.executor.execute_plan_counting` under a permissive
-  access schema), lazily built hash indexes, and incremental maintenance
+  access schema), kept in a private in-memory storage backend read through
+  the same ``lookup_keys``/``contains_rows`` API as a base relation, and
+  incremental maintenance
   by :func:`~repro.core.executor.execute_plan_delta` over the database's
   change-log slice past the view's watermark -- a refresh costs
   O(changes), not O(database), and a single-atom view refreshes without

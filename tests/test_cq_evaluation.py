@@ -12,9 +12,11 @@ from repro import (
     Forall,
     Implies,
     Not,
+    SchemaError,
     UnionOfConjunctiveQueries,
 )
 from repro.logic import homomorphism
+from repro.logic.evaluation import holds
 
 
 class TestConjunctiveQueries:
@@ -156,6 +158,30 @@ class TestHomomorphisms:
         minimal = homomorphism.minimize(redundant)
         assert len(minimal.body) == 1
         assert homomorphism.are_equivalent(redundant, minimal)
+
+
+class TestArityChecks:
+    """The naive evaluators check every atom's arity against the schema:
+    a short atom must not silently match on a prefix, and a long one must
+    not index past the stored row."""
+
+    @pytest.mark.parametrize(
+        "terms",
+        [["?a"], ["?a", "?b", "?c"], [1, "?a", "?c"]],
+        ids=["short", "long", "long-constant-key"],
+    )
+    def test_join_atoms_rejects_wrong_arity(self, social_db, terms):
+        q = ConjunctiveQuery(["a"], [Atom("friend", terms)])
+        with pytest.raises(SchemaError, match="arity"):
+            q.evaluate(social_db)
+
+    @pytest.mark.parametrize("terms", [["?x"], ["?x", 2, 3]], ids=["short", "long"])
+    def test_holds_rejects_wrong_arity(self, social_db, terms):
+        formula = Exists("x", Atom("friend", terms))
+        with pytest.raises(SchemaError, match="arity"):
+            holds(formula, social_db)
+        with pytest.raises(SchemaError, match="arity"):
+            FirstOrderQuery([], formula).evaluate(social_db)
 
 
 def test_union_rejects_parameter_missing_from_a_disjunct(social_db):

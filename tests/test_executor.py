@@ -34,7 +34,7 @@ from repro.core.executor import (
     pipeline_for,
     profile_plan,
 )
-from repro.errors import IncrementalError, SchemaError
+from repro.errors import IncrementalError
 from repro.workloads import (
     RUNNING_QUERIES,
     VIEW_QUERIES,
@@ -52,46 +52,24 @@ Q1 = ConjunctiveQuery(
 
 
 class TestBulkAccess:
+    """The batch read API on the default backend; its accounting on every
+    backend is covered by ``tests/test_backends.py``."""
+
     def test_lookup_many_aligns_groups_with_patterns(self, social_db):
-        groups = social_db.lookup_many("friend", [{0: 1}, {0: 2}, {0: 99}])
-        assert groups == (((1, 2), (1, 3)), ((2, 4),), ())
-
-    def test_lookup_many_counts_distinct_keys_once(self, social_db):
-        social_db.reset_stats()
-        social_db.lookup_many("friend", [{0: 1}, {0: 1}, {0: 1}])
-        assert social_db.stats.indexed_lookups == 1
-        assert social_db.stats.tuples_accessed == 2
-
-    def test_lookup_many_matches_lookup_semantics(self, social_db):
-        patterns = [{0: 1}, {1: 4}, {0: 1, 1: 2}, {}]
-        bulk = social_db.lookup_many("friend", patterns)
-        for pattern, group in zip(patterns, bulk):
-            assert group == social_db.lookup("friend", pattern)
-
-    def test_lookup_many_empty_pattern_scans_once(self, social_db):
-        social_db.reset_stats()
-        social_db.lookup_many("friend", [{}, {}])
-        assert social_db.stats.full_scans == 1
-
-    def test_lookup_many_rejects_bad_positions(self, social_db):
-        with pytest.raises(SchemaError, match="out of range"):
-            social_db.lookup_many("friend", [{7: 1}])
+        groups = social_db.lookup_keys("friend", (0,), [(1,), (2,), (99,)])
+        assert [tuple(g) for g in groups] == [((1, 2), (1, 3)), ((2, 4),), ()]
 
     def test_lookup_many_empty_batch(self, social_db):
-        assert social_db.lookup_many("friend", []) == ()
+        assert tuple(social_db.lookup_keys("friend", (0,), [])) == ()
 
     def test_contains_many_aligns_and_dedups(self, social_db):
         social_db.reset_stats()
-        verdicts = social_db.contains_many(
+        verdicts = social_db.contains_rows(
             "friend", [(1, 2), (9, 9), (1, 2), (2, 4)]
         )
         assert verdicts == (True, False, True, True)
         assert social_db.stats.indexed_lookups == 3  # (1, 2) probed once
         assert social_db.stats.tuples_accessed == 2
-
-    def test_contains_many_validates_rows(self, social_db):
-        with pytest.raises(SchemaError):
-            social_db.contains_many("friend", [(1, 2, 3)])
 
 
 class TestPipelineShape:
@@ -356,13 +334,13 @@ class TestExecutionContext:
         social_db.reset_stats()
         ctx = self._ctx(social_db)
         ctx.lookup_keys("friend", (0,), [(1,)])
-        ctx.contains("friend", (1, 2))
+        ctx.contains_rows("friend", [(1, 2)])
         assert ctx.stats.tuples_accessed == social_db.stats.tuples_accessed == 3
         assert ctx.stats.indexed_lookups == social_db.stats.indexed_lookups == 2
 
     def test_two_contexts_do_not_share_stats(self, social_db):
         a, b = self._ctx(social_db), self._ctx(social_db)
-        a.lookup("friend", {0: 1})
+        a.lookup_keys("friend", (0,), [(1,)])
         assert b.stats.tuples_accessed == 0
         assert a.stats.tuples_accessed == 2
 

@@ -97,7 +97,7 @@ def test_refresh_access_depends_on_slice_not_database_size():
         prepared = RUNNING_QUERIES[2].prepare(engine)  # Q3, the deepest plan
         live = prepared.execute_incremental(p=1)
         db.insert_many("friend", [(1, 7), (7, 2)])
-        db.delete_many("friend", db.lookup("friend", {0: 2})[:1])
+        db.delete_many("friend", db.lookup_keys("friend", (0,), [(2,)])[0][:1])
         live.refresh()
         bounds[persons] = (live.delta_bound, live.stats.tuples_accessed)
     assert bounds[100][0] == bounds[3000][0]  # identical slice -> identical bound

@@ -53,7 +53,7 @@ class TestDatabase:
 
     def test_lookup_uses_index_and_counts(self, social_db):
         social_db.reset_stats()
-        rows = social_db.lookup("friend", {0: 1})
+        (rows,) = social_db.lookup_keys("friend", (0,), [(1,)])
         assert set(rows) == {(1, 2), (1, 3)}
         assert social_db.stats.indexed_lookups == 1
         assert social_db.stats.tuples_accessed == 2
@@ -61,23 +61,23 @@ class TestDatabase:
 
     def test_empty_pattern_is_a_scan(self, social_db):
         social_db.reset_stats()
-        rows = social_db.lookup("friend", {})
+        rows = social_db.scan("friend")
         assert len(rows) == social_db.size("friend")
         assert social_db.stats.full_scans == 1
 
     def test_index_is_maintained_on_insert(self, social_db):
-        assert social_db.lookup("friend", {0: 4}) == ((4, 5),)
+        assert list(social_db.lookup_keys("friend", (0,), [(4,)])[0]) == [(4, 5)]
         social_db.add("friend", (4, 1))
-        assert set(social_db.lookup("friend", {0: 4})) == {(4, 5), (4, 1)}
+        assert set(social_db.lookup_keys("friend", (0,), [(4,)])[0]) == {(4, 5), (4, 1)}
 
     def test_out_of_range_position_raises(self, social_db):
         with pytest.raises(SchemaError, match="out of range"):
-            social_db.lookup("friend", {5: 1})
+            social_db.lookup_keys("friend", (5,), [(1,)])
 
     def test_contains_probe(self, social_db):
         social_db.reset_stats()
-        assert social_db.contains("friend", (1, 2))
-        assert not social_db.contains("friend", (2, 1))
+        assert social_db.contains_rows("friend", [(1, 2)]) == (True,)
+        assert social_db.contains_rows("friend", [(2, 1)]) == (False,)
         assert social_db.stats.tuples_accessed == 1
         assert social_db.stats.full_scans == 0
 
@@ -87,7 +87,7 @@ class TestDatabase:
 
     def test_stats_snapshot_delta(self, social_db):
         before = social_db.stats.snapshot()
-        social_db.lookup("friend", {0: 1})
+        social_db.lookup_keys("friend", (0,), [(1,)])
         delta = social_db.stats.since(before)
         assert delta.indexed_lookups == 1
         assert delta.tuples_accessed == 2
@@ -119,12 +119,12 @@ class TestMutations:
     def test_insert_many_skips_duplicates_and_counts_effective(self, social_db):
         inserted = social_db.insert_many("friend", [(1, 2), (9, 9), (9, 9)])
         assert inserted == 1
-        assert social_db.contains("friend", (9, 9))
+        assert social_db.contains_rows("friend", [(9, 9)]) == (True,)
 
     def test_delete_many_skips_absent_and_counts_effective(self, social_db):
         deleted = social_db.delete_many("friend", [(1, 2), (7, 7)])
         assert deleted == 1
-        assert not social_db.contains("friend", (1, 2))
+        assert social_db.contains_rows("friend", [(1, 2)]) == (False,)
 
     def test_strict_insert_of_present_tuple_raises(self, social_db):
         from repro import UpdateError
@@ -147,20 +147,23 @@ class TestMutations:
     def test_lazy_indexes_are_maintained_across_mutations(self, social_db):
         """Regression: query (building the index), mutate, re-query -- the
         lazily built per-position index must see the mutation."""
-        assert social_db.lookup("friend", {0: 1}) == ((1, 2), (1, 3))
+        def friends(position, value):
+            return list(social_db.lookup_keys("friend", (position,), [(value,)])[0])
+
+        assert friends(0, 1) == [(1, 2), (1, 3)]
         social_db.insert_many("friend", [(1, 4)])
         social_db.delete_many("friend", [(1, 2)])
-        assert social_db.lookup("friend", {0: 1}) == ((1, 3), (1, 4))
+        assert friends(0, 1) == [(1, 3), (1, 4)]
         # A second index on another position set, built after the fact,
         # agrees too.
-        assert social_db.lookup("friend", {1: 4}) == ((2, 4), (3, 4), (1, 4))
+        assert friends(1, 4) == [(2, 4), (3, 4), (1, 4)]
         social_db.delete_many("friend", [(3, 4)])
-        assert social_db.lookup("friend", {1: 4}) == ((2, 4), (1, 4))
+        assert friends(1, 4) == [(2, 4), (1, 4)]
 
     def test_delete_drops_empty_index_groups(self, social_db):
-        social_db.lookup("friend", {0: 5})  # build the index
+        social_db.lookup_keys("friend", (0,), [(5,)])  # build the index
         social_db.delete_many("friend", [(5, 1)])
-        assert social_db.lookup("friend", {0: 5}) == ()
+        assert list(social_db.lookup_keys("friend", (0,), [(5,)])[0]) == []
 
     def test_delete_single_convenience(self, social_db):
         assert social_db.delete("friend", (1, 2)) is True
@@ -170,9 +173,9 @@ class TestMutations:
         from repro import Constant
 
         social_db.insert_many("friend", [(Constant(8), Constant(9))])
-        assert social_db.contains("friend", (8, 9))
+        assert social_db.contains_rows("friend", [(8, 9)]) == (True,)
         social_db.delete_many("friend", [(Constant(8), Constant(9))])
-        assert not social_db.contains("friend", (8, 9))
+        assert social_db.contains_rows("friend", [(8, 9)]) == (False,)
 
 
 class TestChangeLog:

@@ -170,15 +170,17 @@ class TestViewState:
         db = engine.require_database()
         state = engine.views.prepare(db, ["V1"])["V1"]
         stats = AccessStats()
-        rows = state.lookup({0: 1}, stats)
+        (rows,) = state.lookup_keys((0,), [(1,)], stats)
         assert set(rows) == {(1, 2), (1, 3)}
         assert (stats.tuples_accessed, stats.indexed_lookups) == (2, 1)
-        assert state.contains((1, 2), stats)
-        assert not state.contains((9, 9), stats)
-        groups = state.lookup_many([{0: 1}, {0: 1}, {0: 9}], stats)
+        assert state.contains_rows([(1, 2)], stats) == (True,)
+        assert state.contains_rows([(9, 9)], stats) == (False,)
+        groups = state.lookup_keys((0,), [(1,), (1,), (9,)], stats)
         assert [set(g) for g in groups] == [{(1, 2), (1, 3)}, {(1, 2), (1, 3)}, set()]
         # distinct-key accounting: the repeated key is charged once
         assert stats.indexed_lookups == 1 + 2 + 2
+        with pytest.raises(SchemaError, match="out of range"):
+            state.lookup_keys((5,), [(1,)])
 
     def test_full_view_scan_is_counted_as_scan(self, engine):
         from repro import AccessStats
@@ -186,7 +188,7 @@ class TestViewState:
         engine.views.register(v1_def())
         state = engine.views.prepare(engine.require_database(), ["V1"])["V1"]
         stats = AccessStats()
-        rows = state.lookup({}, stats)
+        (rows,) = state.lookup_keys((), [()], stats)
         assert len(rows) == 4
         assert stats.full_scans == 1
 
@@ -206,11 +208,12 @@ class TestViewState:
         engine.views.register(v1_def())
         db = engine.require_database()
         state = engine.views.prepare(db, ["V1"])["V1"]
-        assert set(state.lookup({0: 1})) == {(1, 2), (1, 3)}  # builds the index
+        # The first lookup builds the index; refresh must maintain it.
+        assert set(state.lookup_keys((0,), [(1,)])[0]) == {(1, 2), (1, 3)}
         db.insert_many("friend", [(4, 1)])
         db.delete_many("friend", [(2, 1)])
         state.refresh()
-        assert set(state.lookup({0: 1})) == {(1, 3), (1, 4)}
+        assert set(state.lookup_keys((0,), [(1,)])[0]) == {(1, 3), (1, 4)}
 
     def test_multi_atom_view_materializes_and_refreshes(self, engine):
         view = ViewDef(
